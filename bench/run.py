@@ -1,16 +1,19 @@
 """Run one benchmark workload against the powcat sources of this checkout.
 
-    PYTHONHASHSEED=0 python3 bench/run.py --workload enumerate --seed 1 --seconds 20 --trace 0
+    PYTHONHASHSEED=0 python3 bench/run.py --workload enumerate --seed 1 --seconds 36 --trace 0
 
-The run sets up three times (fresh import of powcat, inputs, oracle tables,
-warm-up) and reports the median set-up.  It then makes whole passes over
-the workload's operation list until the next pass would end after
---seconds, with at least two passes.  Before each call of a batch workload
-it clears the lru_cache tables of `patterns` and `series` and collects
-garbage, outside the timed span.  Every output is checked; a wrong output
-or an exception counts as a failed operation.  The last line of stdout is
-one JSON object: end-to-end metrics with --trace 0, per-layer metrics from
-a traced run with --trace 1 (spans are also written to bench/out/).
+The run sets up five times and reports the median set-up: a fresh
+interpreter that starts and imports powcat, then, in this process, the
+powcat calls that build the inputs and the warm-up calls (the oracle tables
+and output checks around them are not counted).  It then makes whole passes
+over the workload's operation list until the next pass would end after
+--seconds, with at least two passes.  Before each call of a batch
+workload it clears the lru_cache tables of `patterns` and `series` and
+collects garbage, outside the timed span.  Every output is checked; a wrong
+output or an exception counts as a failed operation.  The last line of
+stdout is one JSON object: end-to-end metrics with --trace 0, per-layer
+metrics from a traced run with --trace 1 (spans are also written to
+bench/out/).
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import os
 import random
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from types import SimpleNamespace
@@ -35,41 +39,9 @@ import spans  # noqa: E402
 import workloads  # noqa: E402
 
 LAYERS = ("objects", "patterns", "gentree", "growth", "bijections", "series", "verify", "cli")
-SETUPS = 3
+WORKLOADS = (*workloads.BUILDERS, "requests")
+SETUPS = 5
 MIN_PASSES = 2
-SUBCOMMANDS = ("count", "levels", "triangle", "grow", "map", "series", "conjecture")
-
-# per-layer metric -> span names whose self time it sums
-LAYER_SPANS = {
-    "patterns.invseq_ms": ("patterns.invseq_class_raw:triples",),
-    "patterns.words_ms": ("patterns.invseq_class_raw:words",),
-    "patterns.perm_ms": ("patterns.perm_class_raw",),
-    "patterns.steady_words_ms": ("patterns.steady_words",),
-    "patterns.leaf_trees_ms": ("patterns.increasing_leaf_trees", "patterns.increasing_ordered_trees"),
-    "patterns.paths_ms": ("patterns.vmdyck_paths_raw", "patterns.dyck_words", "patterns.vmsteady_paths_raw"),
-    "patterns.count_class_ms": (
-        "patterns.count_class", "patterns.enumerate_class", "patterns.invseq_members", "patterns.equinumerosity_check",
-    ),
-    "patterns.avoidance_ms": (
-        "patterns.avoids_triple", "patterns.avoids_word", "patterns.avoids_vincular", "patterns.in_invseq_family",
-    ),
-    "objects.validate_ms": ("objects.validate",),
-    "objects.text_ms": ("objects.parse_object", "objects.to_text"),
-    "gentree.level_counts_ms": ("gentree.level_counts",),
-    "gentree.label_distribution_ms": ("gentree.label_distribution", "gentree.rules_isomorphic_check"),
-    "gentree.expand_label_ms": ("gentree.expand_label",),
-    "series.callan_ms": ("series.callan_triangle", "series.powered_catalan_number"),
-    "series.kernel_ms": ("series.kernel_a11", "series.kernel_w", "series.kernel_q"),
-    "series.residual_ms": ("series.functional_equation_residual", "series.residual_is_zero"),
-    "series.e3_ms": ("series.e3_sequence", "series.reference_sequence"),
-    "growth.consistency_ms": ("growth.growth_consistency",),
-    "growth.children_ms": ("growth.children",),
-    "bijections.star_ms": ("bijections.phi_star", "bijections.theta_star", "bijections.phi", "bijections.theta"),
-    "bijections.steady_perm_ms": ("bijections.steady_to_perm", "bijections.perm_to_steady"),
-    "bijections.catalan_ms": ("bijections.catalan_invseq_to_perm", "bijections.catalan_perm_to_invseq"),
-    "bijections.tables_ms": ("bijections.left_inversion_table", "bijections.left_inversion_table_inverse"),
-    "cli.parse_ms": ("cli.build_parser", "cli.parse_args"),
-}
 ENUMERATOR_METRICS = (
     "patterns.invseq_ms", "patterns.words_ms", "patterns.perm_ms", "patterns.steady_words_ms",
     "patterns.leaf_trees_ms", "patterns.paths_ms",
@@ -86,6 +58,17 @@ def load_powcat():
     if not os.path.abspath(pkg.__file__).startswith(SRC + os.sep):
         raise ImportError(f"powcat was imported from {pkg.__file__}, not from {SRC}")
     return SimpleNamespace(**{m: importlib.import_module(f"powcat.{m}") for m in LAYERS})
+
+
+def start_and_import():
+    """Seconds for a fresh interpreter to start and import every powcat module."""
+    code = f"import sys; sys.path.insert(0, {SRC!r}); import " + ", ".join(f"powcat.{m}" for m in LAYERS)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    dt = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise ImportError(f"a fresh interpreter cannot import powcat: {proc.stderr.strip().splitlines()[-1:]}")
+    return dt
 
 
 def calibrate():
@@ -108,8 +91,7 @@ class Runner:
         self.wl, self.tracer = workload, None
         self.caches = [f for m in (pc.patterns, pc.series) for f in vars(m).values() if hasattr(f, "cache_clear")]
         self.attempted = self.failed = self.wrong = 0
-        self.latencies = []  # (kind, seconds) per call
-        self.pass_times = []
+        self.pass_latencies = []  # seconds per call, one list per pass
         self.calib = []
         self.cache_entries = 0
         self.messages = []
@@ -137,23 +119,22 @@ class Runner:
         return dt, (None if msg is None else f"{op.name}: {msg}"), msg is not None
 
     def warm_up(self):
+        """Seconds spent in the warm-up calls themselves."""
         ctx = {}
-        for op in self.wl.warmup:
-            self.call(op, ctx)
+        return sum(self.call(op, ctx)[0] for op in self.wl.warmup)
 
     def one_pass(self):
-        ctx, total = {}, 0.0
+        ctx, lat = {}, []
         for op in self.wl.ops:
             dt, msg, wrong = self.call(op, ctx)
-            total += dt
+            lat.append(dt)
             self.attempted += 1
-            self.latencies.append((op.kind, dt))
             if msg is not None:
                 self.failed += 1
                 self.wrong += wrong
                 if len(self.messages) < 5:
                     self.messages.append(msg)
-        self.pass_times.append(total)
+        self.pass_latencies.append(lat)
 
     def measure(self, seconds):
         gc.collect()
@@ -164,36 +145,44 @@ class Runner:
             self.calib.append(calibrate())
             self.one_pass()
             elapsed = time.perf_counter() - start
-            passes = len(self.pass_times)
+            passes = len(self.pass_latencies)
             if passes >= MIN_PASSES and elapsed * (passes + 1) / passes > seconds:
                 break
         gc.unfreeze()
 
+    @property
+    def pass_times(self):
+        return [sum(lat) for lat in self.pass_latencies]
+
+    def op_latencies(self):
+        """Each operation's median latency over the passes, in list order."""
+        return [statistics.median(col) for col in zip(*self.pass_latencies)]
+
     def end_to_end(self, setup_times):
-        lat = [dt for _, dt in self.latencies]
+        lat = self.op_latencies()
         return {
             "setup_s": (statistics.median(setup_times), "s"),
             "wall_s": (statistics.median(self.pass_times), "s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
-            "call_p50_ms": (percentile(lat, 50) * 1e3, "ms"),
+            "call_gmean_ms": (statistics.geometric_mean(lat) * 1e3, "ms"),
             "call_p99_ms": (percentile(lat, 99) * 1e3, "ms"),
         }
 
     def per_layer(self):
-        t, passes = self.tracer, len(self.pass_times)
-        out = {name: (sum(t.self_time(s) for s in spans) * 1e3 / passes, "ms") for name, spans in LAYER_SPANS.items()}
+        t, passes = self.tracer, len(self.pass_latencies)
+        out = {name: (sum(t.self_time(s) for s in names) * 1e3 / passes, "ms")
+               for name, names in spans.LAYER_METRICS.items()}
         enum_s = sum(out[m][0] for m in ENUMERATOR_METRICS) * passes / 1e3
         out["patterns.objects_per_s"] = (t.counters.get("patterns.objects", 0) / enum_s if enum_s else 0.0, "1/s")
         out["patterns.cache_entries"] = (self.cache_entries, "count")
         busy = t.busy_time("growth.growth_consistency")
         out["growth.objects_checked_per_s"] = (t.counters.get("growth.objects_checked", 0) / busy if busy else 0.0, "1/s")
-        out["verify.checks_ms"] = (
-            sum(t.self_time(n) for n in set(t.name) if n.startswith("verify.")) * 1e3 / passes, "ms")
         # what run_command does outside the traced layer calls: dispatch and output formatting
-        out["cli.command_ms"] = (sum(t.self_time(f"op:{k}") for k in SUBCOMMANDS) * 1e3 / passes, "ms")
-        for kind in SUBCOMMANDS:
-            lat = [dt for k, dt in self.latencies if k == kind]
-            out[f"cli.{kind}_p50_ms"] = (statistics.median(lat) * 1e3 if lat else 0.0, "ms")
+        out["cli.command_ms"] = (sum(t.self_time(f"op:{k}") for k in workloads.SUBCOMMANDS) * 1e3 / passes, "ms")
+        lat = self.op_latencies()
+        for kind in workloads.SUBCOMMANDS:
+            mine = [dt for op, dt in zip(self.wl.ops, lat) if op.kind == kind]
+            out[f"cli.{kind}_p50_ms"] = (statistics.median(mine) * 1e3 if mine else 0.0, "ms")
         out["trace.wall_ms"] = (statistics.median(self.pass_times) * 1e3, "ms")
         out["machine.calib_ms"] = (statistics.median(self.calib) * 1e3, "ms")
         return out
@@ -203,12 +192,11 @@ def run(workload, seed, seconds, trace, size="full"):
     """Set up, measure and return (result dict, Runner)."""
     setup_times = []
     for _ in range(SETUPS):
-        t0 = time.perf_counter()
         pc = load_powcat()
+        started = start_and_import()
         wl = workloads.build(workload, pc, random.Random(seed), size)
         runner = Runner(pc, wl)
-        runner.warm_up()
-        setup_times.append(time.perf_counter() - t0)
+        setup_times.append(started + wl.input_s + runner.warm_up())
     restore = None
     if trace:
         runner.tracer = spans.Tracer()
@@ -230,7 +218,7 @@ def run(workload, seed, seconds, trace, size="full"):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=("enumerate", "rules_series", "certify", "requests"))
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)

@@ -28,6 +28,7 @@ class Tracer:
         self._index = {}
         self._stack = [0]
         self.counters = {}
+        self.declared = set()  # every span name a wrapper was made for
         self.active = False
 
     def _node(self, parent, name):
@@ -56,6 +57,7 @@ class Tracer:
     def wrap(self, name, fn):
         """fn with a span named name around every call."""
         stack, clock = self._stack, time.perf_counter
+        self.declared.add(name)
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
@@ -88,8 +90,11 @@ class Tracer:
             self.counters[key] = self.counters.get(key, 0) + n
 
     def self_time(self, name):
-        """Seconds spent in spans of this name, minus their wrapped children."""
-        return sum(self.busy[i] - self.child[i] for i, nm in enumerate(self.name) if nm == name)
+        """Seconds spent in spans of this name (or, for a name ending in "*",
+        of this prefix), minus their wrapped children."""
+        if name.endswith("*"):
+            return sum(b - c for b, c, nm in zip(self.busy, self.child, self.name) if nm.startswith(name[:-1]))
+        return sum(b - c for b, c, nm in zip(self.busy, self.child, self.name) if nm == name)
 
     def busy_time(self, name):
         """Seconds inside spans of this name, children included."""
@@ -115,34 +120,68 @@ class Tracer:
 
 # -- wrapping powcat's layers ---------------------------------------------------
 
-# module -> public functions that get a span named "<module>.<function>"
-LAYER_FUNCTIONS = {
-    "patterns": (
-        "perm_class_raw", "steady_words", "increasing_leaf_trees", "increasing_ordered_trees",
-        "vmdyck_paths_raw", "dyck_words", "vmsteady_paths_raw", "enumerate_class", "count_class",
-        "invseq_members", "equinumerosity_check", "avoids_triple", "avoids_word", "avoids_vincular",
-        "in_invseq_family",
+# per-layer time metric -> the spans whose self time it adds up.  A span
+# "<module>.<function>" wraps that public function of powcat.<module>; a
+# name ending in "*" stands for every function with that prefix.  The spans
+# in SPECIAL_SPANS are made by `instrument` itself.
+LAYER_METRICS = {
+    "patterns.invseq_ms": ("patterns.invseq_class_raw:triples",),
+    "patterns.words_ms": ("patterns.invseq_class_raw:words",),
+    "patterns.perm_ms": ("patterns.perm_class_raw",),
+    "patterns.steady_words_ms": ("patterns.steady_words",),
+    "patterns.leaf_trees_ms": ("patterns.increasing_leaf_trees", "patterns.increasing_ordered_trees"),
+    "patterns.paths_ms": ("patterns.vmdyck_paths_raw", "patterns.dyck_words", "patterns.vmsteady_paths_raw"),
+    "patterns.count_class_ms": (
+        "patterns.count_class", "patterns.enumerate_class", "patterns.invseq_members", "patterns.equinumerosity_check",
     ),
-    "objects": ("validate", "parse_object", "to_text"),
-    "gentree": ("level_counts", "label_distribution", "expand_label", "rules_isomorphic_check"),
-    "growth": ("growth_consistency",),
-    "bijections": (
-        "phi_star", "theta_star", "phi", "theta", "steady_to_perm", "perm_to_steady",
-        "catalan_invseq_to_perm", "catalan_perm_to_invseq", "left_inversion_table",
-        "left_inversion_table_inverse",
+    "patterns.avoidance_ms": (
+        "patterns.avoids_triple", "patterns.avoids_word", "patterns.avoids_vincular", "patterns.in_invseq_family",
     ),
-    "series": (
-        "callan_triangle", "powered_catalan_number", "kernel_a11", "kernel_w", "kernel_q",
-        "functional_equation_residual", "residual_is_zero", "e3_sequence", "reference_sequence",
-    ),
-    "verify": ("conjecture_23_1_4_report",),
+    "objects.validate_ms": ("objects.validate",),
+    "objects.text_ms": ("objects.parse_object", "objects.to_text"),
+    "gentree.level_counts_ms": ("gentree.level_counts",),
+    "gentree.label_distribution_ms": ("gentree.label_distribution", "gentree.rules_isomorphic_check"),
+    "gentree.expand_label_ms": ("gentree.expand_label",),
+    "series.callan_ms": ("series.callan_triangle", "series.powered_catalan_number"),
+    "series.kernel_ms": ("series.kernel_a11", "series.kernel_w", "series.kernel_q"),
+    "series.residual_ms": ("series.functional_equation_residual", "series.residual_is_zero"),
+    "series.e3_ms": ("series.e3_sequence", "series.reference_sequence"),
+    "growth.consistency_ms": ("growth.growth_consistency",),
+    "growth.children_ms": ("growth.children",),
+    "bijections.star_ms": ("bijections.phi_star", "bijections.theta_star", "bijections.phi", "bijections.theta"),
+    "bijections.steady_perm_ms": ("bijections.steady_to_perm", "bijections.perm_to_steady"),
+    "bijections.catalan_ms": ("bijections.catalan_invseq_to_perm", "bijections.catalan_perm_to_invseq"),
+    "bijections.tables_ms": ("bijections.left_inversion_table", "bijections.left_inversion_table_inverse"),
+    "cli.parse_ms": ("cli.build_parser", "cli.parse_args"),
+    "verify.checks_ms": ("verify.check_*", "verify.conjecture_23_1_4_report"),
 }
+SPECIAL_SPANS = (
+    "patterns.invseq_class_raw:triples", "patterns.invseq_class_raw:words", "growth.children",
+    "cli.build_parser", "cli.parse_args",
+)
 
 # enumerators whose cache misses count the objects they emit
 ENUMERATORS = (
     "invseq_class_raw", "perm_class_raw", "steady_words", "increasing_leaf_trees",
     "increasing_ordered_trees", "vmdyck_paths_raw", "dyck_words", "vmsteady_paths_raw",
 )
+
+
+def _plain_spans(pc):
+    """(span name, module, function name) for every span that plainly wraps
+    one public function, wildcards expanded."""
+    for names in LAYER_METRICS.values():
+        for span in names:
+            if span in SPECIAL_SPANS:
+                continue
+            mod_name, _, fn_name = span.partition(".")
+            mod = getattr(pc, mod_name)
+            if fn_name.endswith("*"):
+                for name, value in vars(mod).items():
+                    if name.startswith(fn_name[:-1]) and callable(value):
+                        yield f"{mod_name}.{name}", mod, name
+            else:
+                yield span, mod, fn_name
 
 
 def instrument(tracer, pc):
@@ -163,15 +202,9 @@ def instrument(tracer, pc):
 
         return call
 
-    for mod_name, names in LAYER_FUNCTIONS.items():
-        mod = getattr(pc, mod_name)
-        for name in names:
-            fn = getattr(mod, name)
-            body = counting(fn) if name in ENUMERATORS else fn
-            wrapped[id(fn)] = tracer.wrap(f"{mod_name}.{name}", body)
-    for name, fn in vars(verify).items():
-        if name.startswith("check_") and callable(fn):
-            wrapped[id(fn)] = tracer.wrap(f"verify.{name}", fn)
+    for span, mod, name in _plain_spans(pc):
+        fn = getattr(mod, name)
+        wrapped[id(fn)] = tracer.wrap(span, counting(fn) if name in ENUMERATORS else fn)
 
     raw = patterns.invseq_class_raw
     by_triples = tracer.wrap("patterns.invseq_class_raw:triples", counting(raw))

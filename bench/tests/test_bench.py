@@ -4,12 +4,14 @@ that must be reported as failed operations.
 
     PYTHONHASHSEED=0 python3 -m pytest -q bench/tests
 """
+import dataclasses
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -18,9 +20,9 @@ sys.path.insert(0, BENCH)
 
 import oracles as O  # noqa: E402
 import run as bench  # noqa: E402
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
-WORKLOADS = ("enumerate", "rules_series", "certify", "requests")
 with open(os.path.join(os.path.dirname(BENCH), "BENCHMARK.json")) as fh:
     SPEC = json.load(fh)
 
@@ -47,7 +49,7 @@ def test_brute_force_membership():
 
 
 @pytest.mark.parametrize("trace", (0, 1))
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", bench.WORKLOADS)
 def test_smoke_run_passes_its_checks(workload, trace):
     result, runner = bench.run(workload, seed=3, seconds=0, trace=trace, size="tiny")
     assert (result["correct"], result["failed"]) == (True, 0), runner.messages
@@ -61,14 +63,36 @@ def test_smoke_run_passes_its_checks(workload, trace):
 
 
 def test_requests_stream_is_stratified():
-    """Every seed sends the same multiset of subcommands, so the latency mix
-    does not depend on the seed."""
+    """Every seed sends the same multiset of subcommands and families, so the
+    latency mix does not depend on the seed, and every subcommand has the
+    same share of the stream."""
     pc = bench.load_powcat()
-    kinds = []
+    mixes = []
     for seed in (1, 2):
-        _, stream = workloads.build_requests(pc, random.Random(seed), "tiny")
-        kinds.append(sorted(op.kind for op in stream))
-    assert kinds[0] == kinds[1]
+        _, stream = workloads.build_requests(pc, random.Random(seed), "full", workloads.Inputs())
+        # a request without its --input value: subcommand, family or map, size
+        mixes.append(sorted(" ".join(a for a in op.name.split("--input")[0].split()) for op in stream))
+        shares = Counter(op.kind for op in stream)
+        assert set(shares) == set(workloads.SUBCOMMANDS)
+        assert set(shares.values()) == {workloads.SIZES["requests"]["full"]["share"]}
+    assert mixes[0] == mixes[1]
+    assert len(stream) >= 1000
+
+
+def test_every_layer_span_is_recorded_by_some_wrapper():
+    """The one table of per-layer spans and the functions instrument() wraps
+    stay in step: no metric sums a span that nothing records."""
+    pc = bench.load_powcat()
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer, pc)
+    pc.cli.build_parser()  # parse_args is wrapped on each parser built
+    restore()
+    for names in spans.LAYER_METRICS.values():
+        for name in names:
+            if name.endswith("*"):
+                assert any(d.startswith(name[:-1]) for d in tracer.declared), name
+            else:
+                assert name in tracer.declared, name
 
 
 def _perturbed(monkeypatch, change):
@@ -109,7 +133,7 @@ def test_wrong_map_image_is_a_failed_operation(monkeypatch):
         pc.bijections.phi_star = wrong
 
     _perturbed(monkeypatch, change)
-    result, runner = bench.run("certify", seed=1, seconds=0, trace=0, size="tiny")
+    result, runner = bench.run("rules_certify", seed=1, seconds=0, trace=0, size="tiny")
     assert not result["correct"]
     assert result["failed"] == bench.MIN_PASSES, runner.messages
     assert all("phi* image" in msg for msg in runner.messages)
@@ -121,8 +145,42 @@ def test_wrong_level_count_is_a_failed_operation(monkeypatch):
         pc.gentree.level_counts = lambda rule, depth: levels(rule, depth)[:-1] + [levels(rule, depth)[-1] - 1]
 
     _perturbed(monkeypatch, change)
-    result, _ = bench.run("rules_series", seed=1, seconds=0, trace=0, size="tiny")
+    result, _ = bench.run("rules_certify", seed=1, seconds=0, trace=0, size="tiny")
     assert not result["correct"] and result["failed"] == 8 * bench.MIN_PASSES
+
+
+def test_growth_check_that_stops_checking_is_a_failed_operation(monkeypatch):
+    """A growth_consistency that reports the right count without checking
+    anything misses the planted faults, so each of its calls fails."""
+
+    def change(pc):
+        growth, count = pc.growth, pc.growth.growth_consistency
+
+        def unchecked(family, n_max):
+            return growth.GrowthReport(family, n_max, count(family, n_max).objects_checked, ())
+
+        growth.growth_consistency = unchecked
+
+    _perturbed(monkeypatch, change)
+    result, runner = bench.run("rules_certify", seed=1, seconds=0, trace=0, size="tiny")
+    assert not result["correct"]
+    assert result["failed"] == len(workloads.GROWTH_FAMILIES) * bench.MIN_PASSES, runner.messages
+    assert all("did not report a dropped child" in msg for msg in runner.messages)
+
+
+def test_sampled_growth_children_are_checked_by_the_oracles(monkeypatch):
+    pc = bench.load_powcat()
+    steady = {m: set(pc.patterns.steady_words(m)) for m in range(2, 5)}
+    for fam in workloads.GROWTH_FAMILIES:
+        assert workloads._children_sample(pc, fam, 4, random.Random(1), 5, steady) is None, fam
+    real = pc.growth.FAMILIES["cat"]
+    faults = {
+        "differ from the rule's production": lambda e: [(c, (0,)) for c, _ in real.children(e)],
+        "is not a member": lambda e: [(e, lab) for _, lab in real.children(e)],
+    }
+    for what, children in faults.items():
+        monkeypatch.setitem(pc.growth.FAMILIES, "cat", dataclasses.replace(real, children=children))
+        assert what in workloads._children_sample(pc, "cat", 4, random.Random(1), 5, steady)
 
 
 def test_unreadable_output_is_a_wrong_output(monkeypatch):
@@ -132,7 +190,8 @@ def test_unreadable_output_is_a_wrong_output(monkeypatch):
 
     _perturbed(monkeypatch, change)
     result, runner = bench.run("requests", seed=1, seconds=0, trace=0, size="tiny")
-    assert not result["correct"] and result["failed"] == bench.MIN_PASSES
+    n_conjecture = sum(op.kind == "conjecture" for op in runner.wl.ops)
+    assert not result["correct"] and result["failed"] == n_conjecture * bench.MIN_PASSES
     assert "unreadable output" in runner.messages[0]
 
 
@@ -144,7 +203,7 @@ def test_a_raising_call_fails_but_keeps_correct(monkeypatch):
         pc.series.kernel_a11 = broken
 
     _perturbed(monkeypatch, change)
-    result, runner = bench.run("rules_series", seed=1, seconds=0, trace=0, size="tiny")
+    result, runner = bench.run("rules_certify", seed=1, seconds=0, trace=0, size="tiny")
     assert result["correct"] and result["failed"] == bench.MIN_PASSES
     assert "injected" in runner.messages[0]
 

@@ -1,4 +1,4 @@
-"""The benchmark's four workloads.
+"""The benchmark's workloads.
 
 A workload is a fixed list of operations.  Each operation is one call into
 powcat's public API (or one `powcat.cli.run_command` request) plus a check
@@ -8,14 +8,19 @@ shared by the checks of one pass, so a later check can compare its output
 with an earlier one (a map and its inverse, the triple and word routes).
 
 Every builder takes the freshly imported powcat modules, a seeded
-`random.Random` and a size profile: "full" for measurement, "tiny" for the
-smoke tests.  The seed picks the sampled members that brute-force checks
-look at and, on `requests`, the inputs and the order of the stream; the
-operation lists of the batch workloads are the same for every seed.
+`random.Random`, a size profile ("full" for measurement, "tiny" for the
+smoke tests) and an `Inputs` stopwatch through which it makes every powcat
+call that builds the workload's inputs: set-up time counts those calls, not
+the oracle tables and checks around them.  The seed picks the sampled
+members that brute-force checks look at and, on `requests`, the inputs and
+the order of the stream; the operation lists of the batch workloads are the
+same for every seed.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -39,6 +44,20 @@ class Workload:
     ops: list  # one pass, in order
     cold: bool  # clear the caches and collect garbage before each call
     warmup: list  # run once, checked, during set-up
+    input_s: float  # time of the powcat calls that built the inputs
+
+
+class Inputs:
+    """Runs the powcat calls that build a workload's inputs and adds up their time."""
+
+    def __init__(self):
+        self.seconds = 0.0
+
+    def __call__(self, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.seconds += time.perf_counter() - t0
+        return out
 
 
 SIZES = {
@@ -58,7 +77,7 @@ SIZES = {
     },
     "certify": {
         "full": dict(
-            growth=6, star=6, steady_perm=7, catalan=8,
+            growth=6, star=6, steady_perm=7, catalan=8, canary=4, children_sample=30,
             checks=(
                 "family-counts", "triangle-refinements", "rule-isomorphism", "label-distribution-consistency",
                 "single-step-maps", "series-agreement", "kernel-residual", "functional-equation",
@@ -66,16 +85,19 @@ SIZES = {
             ),
         ),
         "tiny": dict(
-            growth=3, star=3, steady_perm=4, catalan=4,
+            growth=3, star=3, steady_perm=4, catalan=4, canary=3, children_sample=5,
             checks=("rule-isomorphism", "label-distribution-consistency", "kernel-residual", "functional-equation"),
         ),
     },
     "requests": {
-        "full": dict(count=(6, 7), small=5, levels=12, triangle=12, series=12, kernel=8, residual=8, conjecture=6, parent=4, map=5, pool=4, repeat=12),
-        "tiny": dict(count=(4,), small=3, levels=5, triangle=4, series=5, kernel=4, residual=4, conjecture=4, parent=3, map=3, pool=2, repeat=1),
+        "full": dict(count=(6, 7), small=5, levels=12, triangle=(10, 11, 12), series=12, kernel=8, residual=8,
+                     conjecture=(4, 5, 6), parent=4, map=5, pool=4, share=200),
+        "tiny": dict(count=(4,), small=3, levels=5, triangle=(4,), series=5, kernel=4, residual=4,
+                     conjecture=(4,), parent=3, map=3, pool=2, share=3),
     },
 }
 
+SUBCOMMANDS = ("count", "levels", "triangle", "grow", "map", "series", "conjecture")
 RULES = ("cat", "cat2", "i-geq3", "bax", "semi", "pcat", "p1234", "steady")
 WORDS = {"semi": ("110", "210"), "pcat": ("110",), "bax": ("100", "110", "210")}
 GROWTH_FAMILIES = ("cat", "cat2", "i-geq3", "bax", "semi", "pcat:invseq", "pcat:vmdyck", "pcat:tree", "steady", "p1234")
@@ -92,9 +114,10 @@ def _increasing(seq):
     return all(a < b for a, b in pairwise(seq))
 
 
-def _raw_stream_check(want, sample, member, sorted_stream=False):
+def _stream_check(want, rng, k, member, sorted_stream=False):
     """Count, duplicates (and order, for streams that must come sorted) and
-    brute-force membership of a seeded sample."""
+    brute-force membership of k seeded members."""
+    sample = _sample(rng, want, k)
 
     def check(r, ctx):
         if len(r) != want:
@@ -126,7 +149,10 @@ def _path_key(p):
 # -- enumerate ----------------------------------------------------------------------
 
 
-def build_enumerate(pc, rng, size):
+def build_enumerate(pc, rng, size, inputs):
+    """Cold enumeration at the top tested sizes: the five families by the
+    triple route, the word route for semi and pcat, 1-23-4, steady words,
+    increasing-leaves trees, marked Dyck paths and two counts."""
     s = SIZES["enumerate"][size]
     P, n = pc.patterns, s["n"]
     pcat = O.powered_catalan(max(n, s["vmdyck"], s["perm"], s["steady"], s["trees"]))
@@ -145,27 +171,24 @@ def build_enumerate(pc, rng, size):
         return both
 
     for fam in O.FAMILY_TRIPLES:
-        want = O.sequence_for(fam, n)[n]
-        check = _raw_stream_check(want, _sample(rng, want, s["sample"]),
-                                  lambda e, f=fam: len(e) == n and O.in_family(f, e), sorted_stream=True)
+        check = _stream_check(O.sequence_for(fam, n)[n], rng, s["sample"],
+                              lambda e, f=fam: len(e) == n and O.in_family(f, e), sorted_stream=True)
         ops.append(Op(f"invseq_members {fam} {n}", _api(P, "invseq_members", fam, n), routes_agree(fam, check)))
     for fam in ("semi", "pcat"):
-        want = O.sequence_for(fam, n)[n]
+        check = _stream_check(O.sequence_for(fam, n)[n], rng, s["sample"],
+                              lambda e, f=fam: len(e) == n and O.in_family(f, e), sorted_stream=True)
         words = tuple(P.WordPattern.parse(w) for w in WORDS[fam])
-        check = _raw_stream_check(want, _sample(rng, want, s["sample"]),
-                                  lambda e, f=fam: len(e) == n and O.in_family(f, e), sorted_stream=True)
         ops.append(Op(f"invseq_class_raw words {fam} {n}", _api(P, "invseq_class_raw", (), words, n), routes_agree(fam, check)))
 
     m = s["perm"]
     ops.append(Op(
         f"perm_class_raw 1-23-4 {m}", _api(P, "perm_class_raw", (P.VincularPattern.parse("1-23-4"),), m),
-        _raw_stream_check(pcat[m], _sample(rng, pcat[m], s["sample"]),
-                          lambda p, m=m: len(p) == m and O.in_perm_class(p, ["1-23-4"])),
+        _stream_check(pcat[m], rng, s["sample"], lambda p, m=m: len(p) == m and O.in_perm_class(p, ["1-23-4"])),
     ))
     m = s["steady"]
     ops.append(Op(
         f"steady_words {m}", _api(P, "steady_words", m),
-        _raw_stream_check(pcat[m], _sample(rng, pcat[m], s["sample"]), lambda w, m=m: O.is_steady_shape(w, m)),
+        _stream_check(pcat[m], rng, s["sample"], lambda w, m=m: O.is_steady_shape(w, m)),
     ))
     m = s["trees"]
     tree_sample = _sample(rng, pcat[m], s["sample"])
@@ -182,7 +205,7 @@ def build_enumerate(pc, rng, size):
     m = s["vmdyck"]
     ops.append(Op(
         f"vmdyck_paths_raw {m}", _api(P, "vmdyck_paths_raw", m),
-        _raw_stream_check(pcat[m], _sample(rng, pcat[m], s["sample"]), lambda wm, m=m: O.is_vmdyck(wm[0], wm[1], m)),
+        _stream_check(pcat[m], rng, s["sample"], lambda wm, m=m: O.is_vmdyck(wm[0], wm[1], m)),
     ))
 
     m = s["count_invseq"]
@@ -198,7 +221,7 @@ def build_enumerate(pc, rng, size):
 # -- rules_series -------------------------------------------------------------------
 
 
-def build_rules_series(pc, rng, size):
+def build_rules_series(pc, rng, size, inputs):
     s = SIZES["rules_series"][size]
     G, S = pc.gentree, pc.series
     top = max(max(s["levels"].values()), s["dist"])
@@ -269,7 +292,66 @@ def _checked_inputs(rng, objs, want, member, what):
     return objs
 
 
-def build_certify(pc, rng, size):
+def _growth_member(fam, n, steady_words):
+    """Brute-force membership of an object of size n in a growth family
+    (steady paths: the shape test and powcat's own steady words, since the
+    oracle leaves out the suffix conditions)."""
+    if fam == "pcat:vmdyck":
+        return lambda p: O.is_vmdyck(p.steps, p.marks, n)
+    if fam == "pcat:tree":
+        return lambda t: O.is_increasing_leaf_tree(_tree_tuple(t), n)
+    if fam == "steady":
+        return lambda p: O.is_steady_shape(p.steps, n) and p.steps in steady_words[n]
+    if fam == "p1234":
+        return lambda p: len(p.values) == n and O.in_perm_class(p.values, ["1-23-4"])
+    base = "cat" if fam == "cat2" else fam.split(":")[0]
+    return lambda e: len(e.entries) == n and O.in_family(base, e.entries)
+
+
+def _children_sample(pc, fam, n_max, rng, k, steady_words):
+    """Children of a seeded sample of members of each size below n_max:
+    every child a member by the oracle, the children's label multiset the
+    rule's production from the parent's label, and each emitted label the
+    label computed on the child."""
+    G = pc.growth
+    fg = G.FAMILIES[fam]
+    for size in range(1, n_max):
+        members = fg.enumerate(size)
+        member = _growth_member(fam, size + 1, steady_words)
+        for i in _sample(rng, len(members), k):
+            parent = members[i]
+            kids = list(fg.children(parent))
+            text = pc.objects.to_text(parent)
+            if not all(member(c) for c, _ in kids):
+                return f"{fam}: a child of {text} is not a member"
+            if Counter(lab for _, lab in kids) != Counter(G.expand_label(fg.rule, fg.label(parent))):
+                return f"{fam}: child labels of {text} differ from the rule's production"
+            if any(fg.label(c) != lab for c, lab in kids):
+                return f"{fam}: a child of {text} carries a label other than its own"
+    return None
+
+
+def _growth_canary(G, fam, n):
+    """growth_consistency on the family with a planted fault must report it:
+    first every parent loses its last child, then sibling labels rotate."""
+    real = G.FAMILIES[fam]
+
+    def rotated(obj):
+        kids = list(real.children(obj))
+        return [(c, kids[(i + 1) % len(kids)][1]) for i, (c, _) in enumerate(kids)]
+
+    faults = {"a dropped child": lambda obj: list(real.children(obj))[:-1], "rotated sibling labels": rotated}
+    try:
+        for what, children in faults.items():
+            G.FAMILIES[fam] = dataclasses.replace(real, children=children)
+            if G.growth_consistency(fam, n).ok:
+                return f"{fam}: growth_consistency did not report {what}"
+    finally:
+        G.FAMILIES[fam] = real
+    return None
+
+
+def build_certify(pc, rng, size, inputs):
     s = SIZES["certify"][size]
     P, B, K = pc.patterns, pc.bijections, pc.objects.PathKind
     Perm = pc.objects.Permutation
@@ -277,23 +359,32 @@ def build_certify(pc, rng, size):
     pcat, cat = O.powered_catalan(top), O.catalan(top)
     ops = []
 
+    G = pc.growth
+    steady_words = {m: set(P.steady_words(m)) for m in range(2, s["growth"] + 1)}
     for fam in GROWTH_FAMILIES:
         n = s["growth"]
         want = sum(O.sequence_for(fam, n)[1 : n + 1])
+        # checked once per run, in the first check: growth_consistency must
+        # catch planted faults, and a seeded sample of children must pass
+        # the oracles, so a self-check that stops checking shows up
+        independent = []
 
-        def check_growth(r, ctx, fam=fam, n=n, want=want):
+        def check_growth(r, ctx, fam=fam, n=n, want=want, independent=independent):
             if not r.ok:
                 return f"{fam}: {r.violations[0]}"
             if (r.family, r.n_max, r.objects_checked) != (fam, n, want):
                 return f"{fam}: checked {r.objects_checked} objects, expected {want}"
-            return None
+            if not independent:
+                independent.append(_growth_canary(G, fam, s["canary"])
+                                   or _children_sample(pc, fam, n, rng, s["children_sample"], steady_words))
+            return independent[0]
 
-        ops.append(Op(f"growth_consistency {fam} {n}", _api(pc.growth, "growth_consistency", fam, n), check_growth))
+        ops.append(Op(f"growth_consistency {fam} {n}", _api(G, "growth_consistency", fam, n), check_growth))
 
     n = s["star"]
-    steadies = _checked_inputs(rng, P.enumerate_class("path-kind", K.STEADY, n), pcat[n],
+    steadies = _checked_inputs(rng, inputs(P.enumerate_class, "path-kind", K.STEADY, n), pcat[n],
                                lambda p: O.is_steady_shape(p.steps, n), f"steady paths of size {n}")
-    vmdycks = _checked_inputs(rng, P.enumerate_class("path-kind", K.VMDYCK, n), pcat[n],
+    vmdycks = _checked_inputs(rng, inputs(P.enumerate_class, "path-kind", K.VMDYCK, n), pcat[n],
                               lambda p: O.is_vmdyck(p.steps, p.marks, n), f"marked Dyck paths of size {n}")
     steady_set, vmdyck_set = {p.steps for p in steadies}, {_path_key(q) for q in vmdycks}
 
@@ -346,17 +437,17 @@ def build_certify(pc, rng, size):
         ]
 
     n = s["steady_perm"]
-    paths = _checked_inputs(rng, P.enumerate_class("path-kind", K.STEADY, n), pcat[n],
+    paths = _checked_inputs(rng, inputs(P.enumerate_class, "path-kind", K.STEADY, n), pcat[n],
                             lambda p: O.is_steady_shape(p.steps, n), f"steady paths of size {n}")
-    perms = _checked_inputs(rng, [Perm(v) for v in P.perm_class_raw((B.PAT_1_34_2,), n)], pcat[n],
+    perms = _checked_inputs(rng, [Perm(v) for v in inputs(P.perm_class_raw, (B.PAT_1_34_2,), n)], pcat[n],
                             lambda p: O.in_perm_class(p.values, ["1-34-2"]), f"AV(1-34-2) of size {n}")
     ops += pair("steady_to_perm", "perm_to_steady", (paths, perms), "steady-perm",
                 lambda p: p.steps, lambda q: q.values)
 
     n = s["catalan"]
-    seqs = _checked_inputs(rng, P.enumerate_class("invseq-triple", P.RelationTriple(*O.FAMILY_TRIPLES["cat"]), n), cat[n],
+    seqs = _checked_inputs(rng, inputs(P.enumerate_class, "invseq-triple", P.RelationTriple(*O.FAMILY_TRIPLES["cat"]), n), cat[n],
                            lambda e: O.in_family("cat", e.entries), f"Catalan inversion sequences of size {n}")
-    cperms = _checked_inputs(rng, [Perm(v) for v in P.perm_class_raw((B.PAT_1_23, B.PAT_2_14_3), n)], cat[n],
+    cperms = _checked_inputs(rng, [Perm(v) for v in inputs(P.perm_class_raw, (B.PAT_1_23, B.PAT_2_14_3), n)], cat[n],
                              lambda p: O.in_perm_class(p.values, ["1-23", "2-14-3"]), f"AV(1-23, 2-14-3) of size {n}")
     ops += pair("catalan_invseq_to_perm", "catalan_perm_to_invseq", (seqs, cperms), "catalan",
                 lambda e: e.entries, lambda q: q.values)
@@ -400,18 +491,21 @@ def _checked_once(check):
     return run
 
 
-def build_requests(pc, rng, size):
+def build_requests(pc, rng, size, inputs):
     """A seeded, shuffled stream of valid CLI requests at small sizes.
 
-    The stream is stratified: every seed sends the same number of requests
-    of each subcommand, family and size, so the latency mix does not depend
-    on the seed; the seed picks the grow/map inputs and the order.
+    No record of real use exists, so each of the seven subcommands gets the
+    same share of the stream, spread in turn over its distinct requests
+    (its families, rules, maps or sizes).  Every seed sends the same number
+    of requests of each subcommand, family and size, so the latency mix
+    does not depend on the seed; the seed picks the grow/map inputs and the
+    order.
     """
     s = SIZES["requests"][size]
     P, G = pc.patterns, pc.growth
-    top = max(*s["count"], s["levels"], s["triangle"], s["series"], s["kernel"], s["conjecture"], s["parent"] + 1, s["map"])
+    top = max(*s["count"], s["levels"], *s["triangle"], s["series"], s["kernel"], *s["conjecture"], s["parent"] + 1, s["map"])
     pcat, cat, a108 = O.powered_catalan(top), O.catalan(top), O.a108307(top)
-    tri = O.powered_catalan_triangle(max(s["triangle"], s["conjecture"]))
+    tri = O.powered_catalan_triangle(max(*s["triangle"], *s["conjecture"]))
     formats = ("text", "json", "csv")
     templates = []  # (argv, kind, check on stdout)
 
@@ -450,9 +544,9 @@ def build_requests(pc, rng, size):
         fmt = formats[i % 3]
         add(["levels", "--rule", rule, "--depth", str(d), "--format", fmt], expect_list(fmt, O.sequence_for(rule, d)[1:]))
 
-    rows = tri[: s["triangle"] + 1]
-    add(["triangle", "--n", str(s["triangle"])],
-        lambda out: None if [_ints(line) for line in out.splitlines()] == rows else "triangle rows differ")
+    for n in s["triangle"]:
+        add(["triangle", "--n", str(n)],
+            lambda out, rows=tri[: n + 1]: None if [_ints(line) for line in out.splitlines()] == rows else "triangle rows differ")
 
     n = s["series"]
     series_want = {"catalan": cat[1 : n + 1], "a108307": a108[1 : n + 1], "baxter": O.baxter(n)[1:],
@@ -464,9 +558,7 @@ def build_requests(pc, rng, size):
     add(["series", "kernel-a11", "--n", str(n), "--format", "json"], expect_list("json", a108[1 : n + 1]))
     add(["series", "residual", "--n", str(s["residual"])], lambda out: None if out == "0\n" else f"residual {out.strip()}")
 
-    n = s["conjecture"]
-
-    def check_conjecture(out, n=n):
+    def check_conjecture(out, n):
         doc = json.loads(out)
         rows = doc["evidence"]
         ok = doc["agree"] and [r["n"] for r in rows] == list(range(1, n + 1)) and all(
@@ -476,7 +568,8 @@ def build_requests(pc, rng, size):
         )
         return None if ok else "conjecture evidence differs from the triangle"
 
-    add(["conjecture", "--n", str(n), "--format", "json"], check_conjecture)
+    for n in s["conjecture"]:
+        add(["conjecture", "--n", str(n), "--format", "json"], partial(check_conjecture, n=n))
 
     # grow: parents sampled from the enumerations, children checked for
     # membership by brute force and for the labels the rule produces
@@ -484,11 +577,11 @@ def build_requests(pc, rng, size):
     child_n = parent_n + 1
     steady_next = set(P.steady_words(child_n))
     members = {
-        "invseq": lambda fam: [",".join(map(str, e)) for e in P.invseq_members(fam, parent_n)],
-        "pcat:vmdyck": lambda: [path_text(w, m) for w, m in P.vmdyck_paths_raw(parent_n)],
-        "pcat:tree": lambda: [O.tree_text(_tree_tuple(t)) for t in P.increasing_leaf_trees(parent_n)],
-        "steady": lambda: list(P.steady_words(parent_n)),
-        "p1234": lambda: [",".join(map(str, p)) for p in P.perm_class_raw((G.P1234,), parent_n)],
+        "invseq": lambda fam: [",".join(map(str, e)) for e in inputs(P.invseq_members, fam, parent_n)],
+        "pcat:vmdyck": lambda: [path_text(w, m) for w, m in inputs(P.vmdyck_paths_raw, parent_n)],
+        "pcat:tree": lambda: [O.tree_text(_tree_tuple(t)) for t in inputs(P.increasing_leaf_trees, parent_n)],
+        "steady": lambda: list(inputs(P.steady_words, parent_n)),
+        "p1234": lambda: [",".join(map(str, p)) for p in inputs(P.perm_class_raw, (G.P1234,), parent_n)],
     }
     child_member = {
         "pcat:vmdyck": lambda t: O.is_vmdyck(*_parse_path(t), child_n),
@@ -519,7 +612,7 @@ def build_requests(pc, rng, size):
 
     # map: inputs sampled from the domain, images checked against the codomain
     map_n = s["map"]
-    vmsteady = P.vmsteady_paths_raw(map_n - 1)
+    vmsteady = inputs(P.vmsteady_paths_raw, map_n - 1)
 
     def rand_perm():
         p = list(range(1, map_n + 1))
@@ -539,15 +632,15 @@ def build_requests(pc, rng, size):
         "tinv": ([rand_perm() for _ in range(s["pool"])], lambda src, out: tuple(_ints(out)) == O.inversion_table(src)),
         "tinv-inv": ([O.inversion_table(rand_perm()) for _ in range(s["pool"])],
                      lambda src, out: O.is_permutation(_ints(out)) and O.inversion_table(_ints(out)) == src),
-        "cat-perm": (P.invseq_members("cat", map_n), lambda src, out: len(_ints(out)) == map_n and O.in_perm_class(_ints(out), ["1-23", "2-14-3"])),
-        "cat-perm-inv": (P.perm_class_raw((pc.bijections.PAT_1_23, pc.bijections.PAT_2_14_3), map_n),
+        "cat-perm": (inputs(P.invseq_members, "cat", map_n), lambda src, out: len(_ints(out)) == map_n and O.in_perm_class(_ints(out), ["1-23", "2-14-3"])),
+        "cat-perm-inv": (inputs(P.perm_class_raw, (pc.bijections.PAT_1_23, pc.bijections.PAT_2_14_3), map_n),
                          lambda src, out: len(_ints(out)) == map_n and O.in_family("cat", _ints(out))),
-        "steady-perm": (P.steady_words(map_n), lambda src, out: len(_ints(out)) == map_n and O.in_perm_class(_ints(out), ["1-34-2"])),
-        "steady-perm-inv": (P.perm_class_raw((pc.bijections.PAT_1_34_2,), map_n), lambda src, out: O.is_steady_shape(out.strip(), map_n)),
-        "phi-star": (P.steady_words(map_n), lambda src, out: O.is_vmdyck(*_parse_path(out), map_n)
+        "steady-perm": (inputs(P.steady_words, map_n), lambda src, out: len(_ints(out)) == map_n and O.in_perm_class(_ints(out), ["1-34-2"])),
+        "steady-perm-inv": (inputs(P.perm_class_raw, (pc.bijections.PAT_1_34_2,), map_n), lambda src, out: O.is_steady_shape(out.strip(), map_n)),
+        "phi-star": (inputs(P.steady_words, map_n), lambda src, out: O.is_vmdyck(*_parse_path(out), map_n)
                      and stats(src, ())[0] == sum(_parse_path(out)[1])
                      and O.diagonal_steps(src) == O.diagonal_steps(_parse_path(out)[0])),
-        "theta-star": ([path_text(w, m) for w, m in P.vmdyck_paths_raw(map_n)],
+        "theta-star": ([path_text(w, m) for w, m in inputs(P.vmdyck_paths_raw, map_n)],
                        lambda src, out: O.is_steady_shape(out.strip(), map_n)
                        and O.w_count(out) == sum(_parse_path(src)[1])
                        and O.diagonal_steps(out.strip()) == O.diagonal_steps(_parse_path(src)[0])),
@@ -562,23 +655,31 @@ def build_requests(pc, rng, size):
 
     run = pc.cli.run_command
     distinct = [Op(" ".join(argv), partial(run, argv), _checked_once(check), kind) for argv, kind, check in templates]
-    stream = [op for op in distinct for _ in range(s["repeat"])]
+    stream = []
+    for kind in SUBCOMMANDS:
+        group = [op for op in distinct if op.kind == kind]
+        stream += [group[i % len(group)] for i in range(s["share"])]
     rng.shuffle(stream)
     return distinct, stream
 
 
+def build_rules_certify(pc, rng, size, inputs):
+    return build_rules_series(pc, rng, size, inputs) + build_certify(pc, rng, size, inputs)
+
+
 BUILDERS = {
     "enumerate": build_enumerate,
-    "rules_series": build_rules_series,
-    "certify": build_certify,
+    "rules_certify": build_rules_certify,
 }
 
 
 def build(name, pc, rng, size="full"):
     """The workload with its warm-up list.  Batch workloads warm up on their
     own operation list at the tiny sizes; requests on every distinct request."""
+    inputs = Inputs()
     if name == "requests":
-        distinct, stream = build_requests(pc, rng, size)
-        return Workload(name, stream, cold=False, warmup=distinct)
-    warmup = BUILDERS[name](pc, rng, "tiny") if size != "tiny" else []
-    return Workload(name, BUILDERS[name](pc, rng, size), cold=True, warmup=warmup)
+        distinct, stream = build_requests(pc, rng, size, inputs)
+        return Workload(name, stream, cold=False, warmup=distinct, input_s=inputs.seconds)
+    warmup = BUILDERS[name](pc, rng, "tiny", inputs) if size != "tiny" else []
+    ops = BUILDERS[name](pc, rng, size, inputs)
+    return Workload(name, ops, cold=True, warmup=warmup, input_s=inputs.seconds)
