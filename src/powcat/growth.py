@@ -40,6 +40,13 @@ from .patterns import (
 P1234 = VincularPattern.parse("1-23-4")
 
 
+def _require_valid(obj, what: str):
+    """Raise MembershipError unless obj satisfies its kind's invariants."""
+    report = validate(obj)
+    if not report.ok:
+        raise MembershipError(f"{to_text(obj)} is not {what}: {report.violations[0].detail}")
+
+
 # -- Catalan inversion sequences, entry insertion --------------------------------
 
 
@@ -54,6 +61,7 @@ def cat_insert(e: InversionSequence, i: int) -> InversionSequence:
 
 def active_positions_cat(e: InversionSequence) -> list[int]:
     """Positions i where cat_insert keeps membership in the geq,dash,geq family."""
+    _require_valid(e, "an inversion sequence")
     if not in_invseq_family("cat", e.entries):
         raise MembershipError(f"{to_text(e)} is not a Catalan inversion sequence")
     return [
@@ -178,6 +186,7 @@ def _rightmost_entry_children(family: str, e: InversionSequence):
 def children_rightmost_entry(family: str, e: InversionSequence):
     """Children of e by adding a new rightmost entry, with their labels."""
     membership = "cat" if family == "cat2" else family
+    _require_valid(e, "an inversion sequence")
     if not in_invseq_family(membership, e.entries):
         raise MembershipError(f"{to_text(e)} is not in family {membership}")
     return [
@@ -201,6 +210,7 @@ def pcat_children_invseq(e: InversionSequence):
     the rest becoming the (unique possible) 1s.
     """
     v = e.entries
+    _require_valid(e, "an inversion sequence")
     if not in_invseq_family("pcat", v):
         raise MembershipError(f"{to_text(e)} does not avoid 110")
     zero_pos = [i for i, x in enumerate(v) if x == 0]
@@ -229,6 +239,7 @@ def pcat_parent_invseq(f: InversionSequence) -> InversionSequence:
     v = f.entries
     if len(v) < 2:
         raise ValueError("size-1 sequence has no parent")
+    _require_valid(f, "an inversion sequence")
     if not in_invseq_family("pcat", v):
         raise MembershipError(f"{to_text(f)} does not avoid 110")
     undone = tuple(0 if x == 1 else x for x in v)
@@ -249,9 +260,7 @@ def steady_label(path: LatticePath) -> Label:
 
 def steady_children(path: LatticePath):
     """Children by a new rightmost up step at each admissible height."""
-    report = validate(make_path(path.steps, kind=PathKind.STEADY))
-    if not report.ok:
-        raise MembershipError(f"{path.steps} is not a steady path: {report.violations[0].detail}")
+    _require_valid(make_path(path.steps, kind=PathKind.STEADY), "a steady path")
     n = path.size
     pts = up_step_points(path.steps)
     t_half = edge_line_offset(path.steps) // 2
@@ -294,6 +303,7 @@ def perm_append(p: Permutation, a: int) -> Permutation:
 def perm1234_children(p: Permutation):
     """Children by right expansion at each active site, with their labels."""
     v = p.values
+    _require_valid(p, "a permutation")
     if not avoids_vincular(p, P1234):
         raise MembershipError(f"{to_text(p)} contains 1-23-4")
     bound = _p1234_site_bound(v)
@@ -320,9 +330,8 @@ def vmdyck_label(path: LatticePath) -> Label:
 def vmdyck_children(path: LatticePath):
     """Children by a new rightmost peak in the last descent; a freshly made
     valley takes every admissible mark."""
-    report = validate(path if path.kind is PathKind.VMDYCK else make_path(path.steps, path.marks, PathKind.VMDYCK))
-    if not report.ok:
-        raise MembershipError(f"{to_text(path)} is not a valley-marked Dyck path")
+    vm = path if path.kind is PathKind.VMDYCK else make_path(path.steps, path.marks, PathKind.VMDYCK)
+    _require_valid(vm, "a valley-marked Dyck path")
     steps, marks = path.steps, path.marks
     r = last_descent_length(steps)
     head = steps[: len(steps) - r]
@@ -349,9 +358,7 @@ def tree_children(t: OrderedTree):
     """Children by relabel-and-insert: bump every positive label, then hang a
     new vertex 1 under the root over a contiguous bunch of root edges; the
     empty bunch goes in the leftmost gap so leaf 1 stays first in pre-order."""
-    report = validate(t)
-    if not report.ok:
-        raise MembershipError(f"{to_text(t)} is not an increasing-leaves tree")
+    _require_valid(t, "an increasing-leaves tree")
 
     def bump(node):
         return OrderedTree(node.label + 1 if node.label > 0 else 0, tuple(bump(c) for c in node.children))

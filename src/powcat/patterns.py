@@ -8,7 +8,22 @@ entries must sit at consecutive positions.
 Enumerators prune on prefixes: removing the last entry of an inversion
 sequence (or the last point of a permutation, up to standardization) never
 creates a pattern occurrence, so any prefix containing a pattern is dead.
-Streams are reproducible: objects come out sorted by their canonical text.
+Three enumerators carry a small state down their search, so that each
+candidate is judged in constant time instead of being rebuilt, rescanned
+or validated, and each test is exact:
+
+- inversion sequences: bitmasks of the values placed and of the values
+  that would complete a triple or 3-letter word occurrence; a candidate
+  is rejected exactly when it ends an occurrence;
+- steady words: the least diagonal distance the S1/S2 conditions of the
+  up steps so far allow for the next one;
+- increasing-leaves trees: the leaf count and the longest increasing
+  prefix of the pre-order leaves, against the vertices still to insert.
+
+The last two keep exactly the prefixes that can be completed, so their
+searches have no dead ends.  The docstrings give each condition and why it
+holds.  Streams are reproducible: objects come out sorted by their
+canonical text.
 """
 from __future__ import annotations
 
@@ -24,7 +39,6 @@ from .objects import (
     PathKind,
     Permutation,
     make_path,
-    path_from_up_points,
     path_valleys,
     to_text,
     validate,
@@ -335,19 +349,6 @@ def ascent_min_max_criterion(values) -> bool:
 # -- incremental occurrence checks (for pruned enumeration) ---------------------
 
 
-def _triple_hit_at_end(values, triple) -> bool:
-    r1, r2, r3 = RELATIONS[triple.first], RELATIONS[triple.second], RELATIONS[triple.third]
-    v = values
-    k = len(v) - 1
-    for j in range(1, k):
-        if not r2(v[j], v[k]):
-            continue
-        for i in range(j):
-            if r1(v[i], v[j]) and r3(v[i], v[k]):
-                return True
-    return False
-
-
 def _word_hit_at_end(values, word) -> bool:
     last = len(values) - 1
     L = len(word)
@@ -368,23 +369,23 @@ def _sign(a, b):
     return (a > b) - (a < b)
 
 
-def _word3_codes(word):
-    w0, w1, w2 = word
-    return (_sign(w0, w1), _sign(w1, w2), _sign(w0, w2))
-
-
-def _word3_hit_at_end(values, code_set) -> bool:
-    """Any order-type code triple realized with the last entry third."""
-    k = len(values) - 1
-    vk = values[k]
-    for j in range(1, k):
-        vj = values[j]
-        s12 = _sign(vj, vk)
-        for i in range(j):
-            vi = values[i]
-            if (_sign(vi, vj), s12, _sign(vi, vk)) in code_set:
-                return True
-    return False
+def _ban_table(triples, words3, n):
+    """bans[a][b]: bitmask of the values c < n for which (a, b, c) is an
+    occurrence of one of the relation triples or of the 3-letter words."""
+    tests = [(RELATIONS[t.first], RELATIONS[t.second], RELATIONS[t.third]) for t in triples]
+    codes = {(_sign(w0, w1), _sign(w1, w2), _sign(w0, w2)) for w0, w1, w2 in words3}
+    return [
+        [
+            sum(
+                1 << c
+                for c in range(n)
+                if (_sign(a, b), _sign(b, c), _sign(a, c)) in codes
+                or any(r1(a, b) and r2(b, c) and r3(a, c) for r1, r2, r3 in tests)
+            )
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
 
 
 def _vincular_hit_at_end(values, pat: VincularPattern) -> bool:
@@ -431,26 +432,46 @@ def _check_limit(group: str, n: int, limit=None):
 @lru_cache(maxsize=None)
 def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
     """All inversion sequences of length n avoiding every listed pattern,
-    grown entry by entry with dead-prefix pruning."""
-    out = []
-    short_codes = frozenset(_word3_codes(w.word) for w in words if len(w.word) == 3)
-    long_words = tuple(w for w in words if len(w.word) != 3)
+    grown entry by entry in lexicographic order.
 
-    def extend(prefix, m):
+    Whether a relation triple or a 3-letter word occurs at positions
+    i < j < k depends only on the values (e_i, e_j, e_k).  So each prefix
+    carries two bitmasks: ``seen``, the values placed so far, and ``banned``,
+    the values c such that some (e_i, e_j, c) with i < j is an occurrence.
+    A next entry v completes an occurrence exactly when v is banned, and
+    placing v bans every c with (a, v, c) an occurrence for some a in seen.
+    Words of any other length are matched against each candidate.
+    """
+    out = []
+    bans = _ban_table(triples, [w.word for w in words if len(w.word) == 3], n)
+    other_words = tuple(w.word for w in words if len(w.word) != 3)
+    # banned_after[v][seen]: the values banned by placing v after the set seen
+    banned_after = [{} for _ in range(n)]
+
+    def extend(prefix, seen, banned):
+        m = len(prefix)
         if m == n:
             out.append(prefix)
             return
         for v in range(m + 1):
+            if banned >> v & 1:
+                continue
             cand = prefix + (v,)
-            if any(_triple_hit_at_end(cand, t) for t in triples):
+            if other_words and any(_word_hit_at_end(cand, w) for w in other_words):
                 continue
-            if short_codes and _word3_hit_at_end(cand, short_codes):
+            if m + 1 == n:
+                out.append(cand)
                 continue
-            if any(_word_hit_at_end(cand, w.word) for w in long_words):
-                continue
-            extend(cand, m + 1)
+            add = banned_after[v].get(seen)
+            if add is None:
+                add = 0
+                for a in range(m):
+                    if seen >> a & 1:
+                        add |= bans[a][v]
+                banned_after[v][seen] = add
+            extend(cand, seen | 1 << v, banned | add)
 
-    extend((), 0)
+    extend((), 0, 0)
     return tuple(out)
 
 
@@ -509,18 +530,34 @@ def vmdyck_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 @lru_cache(maxsize=None)
 def steady_words(n) -> tuple[str, ...]:
-    """All steady words of size n via the diagonal-distance encoding.
+    """All steady words of size n via the diagonal-distance encoding, in
+    lexicographic order of the encoding.
 
-    Any sequence (d_1..d_n), 0 <= d_k <= k-1, places up steps on their
-    forced diagonals and yields a well-formed cone-confined W/D-connected
-    word; only the two suffix conditions remain to be filtered.
+    Any sequence (d_1..d_n), 0 <= d_k <= k-1, places the k-th up step at
+    (k-1+d_k, k-1-d_k) and yields a well-formed cone-confined W/D-connected
+    word (see path_from_up_points); only S1/S2 remain.  U keeps x - y, D
+    raises it by 2 and W lowers it by 2.  So the k-th up step starts on
+    x - y = 2 d_k; the step before it is U, W or D as d_k equals, is below
+    or is above d_{k-1}, so a UU or WU factor ends at it exactly when
+    d_k <= d_{k-1}; and the path after it drops below x - y = 2 d_k exactly
+    when some later d_j < d_k (between up steps x - y runs monotonically
+    from 2 d_{j-1} to 2 d_j, and the closing descent raises it).  S1/S2
+    therefore say that every later d_j is at least that d_k.  The search
+    keeps the largest such d_k as a floor for the next choice, which never
+    empties the range 0..k-1, so every prefix it keeps can be completed;
+    the word is built as the d_k are chosen.
     """
     out = []
-    for ds in product(*(range(m) for m in range(1, n + 1))):
-        pts = [(m + d, m - d) for m, d in enumerate(ds)]
-        word = path_from_up_points(pts)
-        if validate(make_path(word, kind=PathKind.STEADY)).ok:
-            out.append(word)
+
+    def extend(word, k, d_prev, floor):
+        if k == n:
+            out.append(word + "D" * (n - d_prev))
+            return
+        for d in range(floor, k + 1):
+            join = "D" * (d - d_prev) if d >= d_prev else "W" * (d_prev - d)
+            extend(word + join + "U", k + 1, d, d if d <= d_prev else floor)
+
+    extend("", 0, 0, 0)
     return tuple(out)
 
 
@@ -536,74 +573,102 @@ def vmsteady_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-# raw trees are nested pairs (label, children_tuple); cheap to build in bulk
+# Trees under construction are flat: the pre-order tuple of (label, depth)
+# pairs.  Vertex `label` goes in as a new leaf; the places it can go are a
+# parent and a gap between that parent's children, parents in pre-order and
+# gaps left to right.
 
 
-def _raw_insertions(tree, label, out, rebuild):
-    lab, kids = tree
-    leaf = (label, ())
-    for gap in range(len(kids) + 1):
-        out.append(rebuild((lab, kids[:gap] + (leaf,) + kids[gap:])))
-    for i, child in enumerate(kids):
-        pre, post = kids[:i], kids[i + 1 :]
-        _raw_insertions(child, label, out, lambda sub, p=pre, q=post, l=lab: rebuild((l, p + (sub,) + q)))
+def _insertion_sites(flat):
+    """(index in flat, depth, leaf position, parent was a leaf) for every
+    place a new leaf can go, in search order.  The leaf position is the new
+    leaf's index in the pre-order leaf sequence."""
+    m = len(flat)
+    end = [m] * m  # end[i]: index just past the subtree of vertex i
+    stack = []
+    for j, (_, depth) in enumerate(flat):
+        while stack and flat[stack[-1]][1] >= depth:
+            end[stack.pop()] = j
+        stack.append(j)
+    before = [0]  # before[x]: leaves among flat[:x]
+    for i in range(m):
+        before.append(before[i] + (end[i] == i + 1))
+    sites = []
+    for i, (_, depth) in enumerate(flat):
+        if end[i] == i + 1:
+            sites.append((i + 1, depth + 1, before[i], True))
+            continue
+        j = i + 1
+        while j < end[i]:
+            sites.append((j, depth + 1, before[j], False))
+            j = end[j]
+        sites.append((j, depth + 1, before[j], False))
+    return sites
 
 
-def _raw_leaves(tree, out):
-    lab, kids = tree
-    if not kids:
-        out.append(lab)
-    for c in kids:
-        _raw_leaves(c, out)
+def _flat_to_tree(flat) -> OrderedTree:
+    stack = [(flat[0][0], [])]  # open vertices: label, children so far
+    # a closing pair at depth 1 finishes every open vertex below the root
+    for label, depth in flat[1:] + ((None, 1),):
+        while len(stack) > depth:
+            lab, kids = stack.pop()
+            stack[-1][1].append(OrderedTree(lab, tuple(kids)))
+        stack.append((label, []))
+    return OrderedTree(stack[0][0], tuple(stack[0][1]))
 
 
-def _raw_to_tree(raw) -> OrderedTree:
-    lab, kids = raw
-    return OrderedTree(lab, tuple(_raw_to_tree(c) for c in kids))
+def _grow_trees(n, leaves_increasing: bool) -> tuple[OrderedTree, ...]:
+    """Increasing ordered trees on 0..n by inserting 1..n in turn, each as a
+    leaf at every site; with leaves_increasing, only the partial trees that
+    can still end with increasing pre-order leaves are kept.
+
+    Each partial tree carries its leaf count and the length of the longest
+    increasing prefix of its leaf sequence.  The new leaf outranks every
+    leaf, so at leaf position pos that prefix becomes pos + 1 long when
+    pos <= its old length and stays the same otherwise.
+    """
+    out = []
+
+    def extend(flat, leaves, prefix):
+        label = len(flat)
+        if label > n:
+            out.append(_flat_to_tree(flat))
+            return
+        for x, depth, pos, replaces in _insertion_sites(flat):
+            grown = leaves if replaces else leaves + 1
+            rising = pos + 1 if pos <= prefix else prefix
+            if leaves_increasing and grown - rising > n - label:
+                continue
+            extend(flat[:x] + ((label, depth),) + flat[x:], grown, rising)
+
+    extend(((0, 0),), 1, 1)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def increasing_ordered_trees(n) -> tuple[OrderedTree, ...]:
     """All (2n-1)!! increasing ordered trees on labels 0..n."""
-    trees = [(0, ())]
-    for label in range(1, n + 1):
-        nxt: list = []
-        for t in trees:
-            _raw_insertions(t, label, nxt, lambda s: s)
-        trees = nxt
-    return tuple(_raw_to_tree(t) for t in trees)
+    return _grow_trees(n, leaves_increasing=False)
 
 
 @lru_cache(maxsize=None)
 def increasing_leaf_trees(n) -> tuple[OrderedTree, ...]:
-    """Increasing ordered trees whose pre-order leaves increase, by filtered
-    insertion search.
+    """Increasing ordered trees whose pre-order leaves increase, by an
+    insertion search with exact pruning, in the order of
+    increasing_ordered_trees.
 
-    Pruning is a necessary condition only: a descent in the partial leaf
-    sequence can only be repaired by hanging a later vertex below its right
-    end, and distinct descents need distinct future vertices, so a partial
-    tree with more leaf descents than remaining vertices is dead.
+    Every later vertex outranks every current leaf, and a leaf that later
+    gets a child leaves its pre-order slot to larger leaves.  So in a
+    completion the current leaves that stay leaves come before every new
+    leaf and before every leaf that gets a child, and must increase: they
+    are a prefix of the increasing prefix of the leaf sequence, and each
+    leaf after them needs a vertex of its own.  A partial tree is therefore
+    completable iff leaves - (longest increasing prefix of the leaves) <=
+    vertices still to insert: hang one new vertex below each leaf past
+    that prefix, in order, and chain the rest below the last new vertex
+    (or the last leaf).  Every kept partial tree has a completion.
     """
-    out = []
-
-    def descents_and_ok(t):
-        ls: list[int] = []
-        _raw_leaves(t, ls)
-        return sum(1 for a, b in zip(ls, ls[1:]) if a > b)
-
-    def extend(tree, label):
-        if label > n:
-            out.append(tree)
-            return
-        nxt: list = []
-        _raw_insertions(tree, label, nxt, lambda s: s)
-        budget = n - label
-        for t in nxt:
-            if descents_and_ok(t) <= budget:
-                extend(t, label + 1)
-
-    extend((0, ()), 1)
-    return tuple(_raw_to_tree(t) for t in out)
+    return _grow_trees(n, leaves_increasing=True)
 
 
 def _as_pattern_key(spec):

@@ -455,8 +455,10 @@ def conjecture_23_1_4_report(n_max: int = 9):
     """RTL-minima distribution of AV(23-1-4) against the triangle.
 
     This is conjecture evidence, not a theorem: rows are reported with their
-    agreement status and the harness never raises on a mismatch.
+    agreement status and the harness never raises on a mismatch.  n_max is
+    held to the exhaustive limit for permutations (LimitError outside it).
     """
+    patterns._check_limit("perm", n_max)
     pat = VincularPattern.parse("23-1-4")
     tri = series.callan_triangle(n_max)
     rows = []

@@ -118,6 +118,18 @@ def test_conjecture_report():
     assert all("triangle_row" in r for r in payload["evidence"])
 
 
+def test_grow_rejects_non_members():
+    for family, text in (("cat", "0,5"), ("p1234", "1,1"), ("semi", "0,3,1")):
+        code, out = run(["grow", "--family", family, "--input", text])
+        assert (code, out) == (2, ""), (family, text)
+
+
+def test_conjecture_size_is_bounded():
+    for n in ("0", "11"):
+        code, out = run(["conjecture", "--n", n])
+        assert (code, out) == (2, ""), n
+
+
 def test_usage_errors_exit_2():
     code, _ = run(["count", "--family", "nonsense", "--n", "3"])
     assert code == 2

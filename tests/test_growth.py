@@ -164,6 +164,24 @@ def test_growers_reject_non_members():
         tree_children(OrderedTree(0, (OrderedTree(2, (OrderedTree(1),)),)))
 
 
+@pytest.mark.parametrize(
+    "grow,obj",
+    [
+        (FAMILIES["cat"].children, InversionSequence((0, 5))),
+        (lambda e: children_rightmost_entry("cat2", e), InversionSequence((0, 0, 3))),
+        (lambda e: children_rightmost_entry("semi", e), InversionSequence((0, 3, 1))),
+        (pcat_children_invseq, InversionSequence((1,))),
+        (pcat_parent_invseq, InversionSequence((0, 0, 7))),
+        (perm1234_children, Permutation((1, 1))),
+        (perm1234_children, Permutation((3, 1))),
+    ],
+)
+def test_growers_reject_objects_outside_their_kind(grow, obj):
+    # these avoid the family's pattern but break the kind's own invariants
+    with pytest.raises(MembershipError):
+        grow(obj)
+
+
 # -- permutations avoiding 1-23-4 ------------------------------------------------------------
 
 

@@ -5,7 +5,15 @@ from itertools import product
 import pytest
 
 from powcat.errors import LimitError
-from powcat.objects import InversionSequence, Permutation, to_text
+from powcat.objects import (
+    InversionSequence,
+    PathKind,
+    Permutation,
+    make_path,
+    path_from_up_points,
+    to_text,
+    validate,
+)
 from powcat.patterns import (
     EXHAUSTIVE_LIMITS,
     RelationTriple,
@@ -19,11 +27,14 @@ from powcat.patterns import (
     count_class,
     enumerate_class,
     equinumerosity_check,
+    increasing_leaf_trees,
+    increasing_ordered_trees,
     invseq_class_raw,
     invseq_members,
     perm_class_raw,
     perm_statistics,
     semibaxter_inversion_criterion,
+    steady_words,
     two_chain_criterion,
     weak_descent_criterion,
     WORD_CHARACTERIZATIONS,
@@ -207,6 +218,59 @@ def test_limit_errors():
     with pytest.raises(LimitError):
         enumerate_class("path-kind", "steady", 9)
     assert count_class("path-kind", "dyck", 9, limit=9) == 4862
+
+
+# -- pruned enumerators against brute force --------------------------------------------
+# The enumerators prune on a state carried down their search; each must give
+# exactly the objects, in the same order, that filtering everything gives.
+
+RELATION_NAMES = ("lt", "gt", "leq", "geq", "eq", "neq", "dash")
+# the 13 order-and-equality types of a 3-letter word
+WORD3_TYPES = [w for w in product(range(3), repeat=3) if set(w) == set(range(max(w) + 1))]
+
+
+def test_invseq_enumerator_matches_filter_for_every_triple():
+    for rels in product(RELATION_NAMES, repeat=3):
+        t = RelationTriple(*rels)
+        for n in range(1, 6):
+            want = [e for e in all_invseqs(n) if avoids_triple(e, t)]
+            assert list(invseq_class_raw((t,), (), n)) == want, (t, n)
+
+
+@pytest.mark.parametrize(
+    "triples,words",
+    [((), (WordPattern(w),)) for w in WORD3_TYPES]
+    + [
+        ((), (WordPattern((1, 0)),)),
+        ((), (WordPattern((0, 1, 1, 0)),)),
+        ((RelationTriple("lt", "neq", "dash"),), (WordPattern((0, 0, 0)), WordPattern((1, 0, 2, 1)))),
+    ],
+    ids=lambda key: "+".join(str(p) for p in key) or "-",
+)
+def test_invseq_enumerator_matches_filter_for_words(triples, words):
+    for n in range(1, 7):
+        want = [
+            e
+            for e in all_invseqs(n)
+            if all(avoids_triple(e, t) for t in triples) and all(avoids_word(e, w) for w in words)
+        ]
+        assert list(invseq_class_raw(triples, words, n)) == want, n
+
+
+def test_steady_words_match_the_validated_encodings():
+    for n in range(1, 8):
+        want = []
+        for ds in product(*(range(m) for m in range(1, n + 1))):
+            word = path_from_up_points([(m + d, m - d) for m, d in enumerate(ds)])
+            if validate(make_path(word, kind=PathKind.STEADY)).ok:
+                want.append(word)
+        assert list(steady_words(n)) == want, n
+
+
+def test_leaf_trees_match_the_validated_increasing_trees():
+    for n in range(1, 7):
+        want = [t for t in increasing_ordered_trees(n) if validate(t).ok]
+        assert list(increasing_leaf_trees(n)) == want, n
 
 
 # -- permutation statistics --------------------------------------------------------------
