@@ -35,6 +35,7 @@ from .patterns import (
     enumerate_class,
     in_invseq_family,
     INVSEQ_FAMILIES,
+    ltr_max_flags,
 )
 
 P1234 = VincularPattern.parse("1-23-4")
@@ -82,10 +83,6 @@ def cat_children(e: InversionSequence) -> list[tuple[InversionSequence, Label]]:
 # -- rightmost-entry growths: cat2, i-geq3, bax, semi ------------------------------
 
 
-def _max(values) -> int:
-    return max(values)
-
-
 def _mwd(values) -> int:
     """Largest weak-descent entry, -1 when there is no weak descent."""
     best = -1
@@ -95,19 +92,9 @@ def _mwd(values) -> int:
     return best
 
 
-def _ltr_flags(values):
-    flags = []
-    hi = None
-    for x in values:
-        flags.append(hi is None or x > hi)
-        if hi is None or x > hi:
-            hi = x
-    return flags
-
-
 def _last_non_ltr(values, sentinel: int) -> int:
     """Value of the rightmost entry that is not a LTR maximum."""
-    flags = _ltr_flags(values)
+    flags = ltr_max_flags(values)
     for i in range(len(values) - 1, -1, -1):
         if not flags[i]:
             return values[i]
@@ -117,7 +104,7 @@ def _last_non_ltr(values, sentinel: int) -> int:
 def _bax_case_a(values) -> bool:
     """True when every entry is a LTR maximum or the rightmost non-maximum
     forms no inversion (nothing larger sits to its left)."""
-    flags = _ltr_flags(values)
+    flags = ltr_max_flags(values)
     for i in range(len(values) - 1, -1, -1):
         if not flags[i]:
             return not any(values[j] > values[i] for j in range(i))
@@ -126,23 +113,23 @@ def _bax_case_a(values) -> bool:
 
 def cat2_label(e: InversionSequence) -> Label:
     v = e.entries
-    return (_max(v) - _mwd(v), len(v) - _max(v))
+    return (max(v) - _mwd(v), len(v) - max(v))
 
 
 def igeq3_label(e: InversionSequence) -> Label:
     v = e.entries
-    return (_max(v) - _last_non_ltr(v, -1), len(v) - _max(v))
+    return (max(v) - _last_non_ltr(v, -1), len(v) - max(v))
 
 
 def bax_label(e: InversionSequence) -> Label:
     v = e.entries
-    h = _max(v) - _last_non_ltr(v, 0)
-    return (h + 1 if _bax_case_a(v) else h, len(v) - _max(v))
+    h = max(v) - _last_non_ltr(v, 0)
+    return (h + 1 if _bax_case_a(v) else h, len(v) - max(v))
 
 
 def semi_label(e: InversionSequence) -> Label:
     v = e.entries
-    return (_max(v) - _last_non_ltr(v, 0) + 1, len(v) - _max(v))
+    return (max(v) - _last_non_ltr(v, 0) + 1, len(v) - max(v))
 
 
 def _rightmost_entry_children(family: str, e: InversionSequence):
@@ -150,7 +137,7 @@ def _rightmost_entry_children(family: str, e: InversionSequence):
     rightmost-entry families."""
     v = e.entries
     n = len(v)
-    mx = _max(v)
+    mx = max(v)
     k = n - mx
     out = []
     if family == "cat2":

@@ -568,11 +568,17 @@ def to_text(obj) -> str:
             return obj.steps + ";marks=" + ",".join(str(m) for m in obj.marks)
         return obj.steps
     if isinstance(obj, OrderedTree):
-        sep = "," if any(l > 9 for l in obj.preorder_labels()) else ""
-        return _tree_text(obj, sep)
+        return _tree_text(obj, any(l > 9 for l in obj.preorder_labels()))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _tree_text(t: OrderedTree, sep: str) -> str:
-    body = sep.join(_tree_text(c, sep) for c in t.children)
-    return f"{t.label}({body})" if t.children else str(t.label)
+def _tree_text(t: OrderedTree, wide: bool) -> str:
+    """Siblings are written side by side, with a comma after a childless one
+    (whose digits would otherwise run into the next label) and after every
+    one when some label has more than one digit."""
+    if not t.children:
+        return str(t.label)
+    body = _tree_text(t.children[0], wide)
+    for prev, c in zip(t.children, t.children[1:]):
+        body += ("," if wide or not prev.children else "") + _tree_text(c, wide)
+    return f"{t.label}({body})"

@@ -295,7 +295,8 @@ def two_chain_criterion(values) -> bool:
     return True
 
 
-def _ltr_max_flags(v):
+def ltr_max_flags(v):
+    """flags[i] is True when v[i] is a left-to-right maximum (strict)."""
     flags = []
     hi = None
     for x in v:
@@ -310,7 +311,7 @@ def baxter_inversion_criterion(values) -> bool:
     RTL-minimum bottom."""
     v = tuple(values)
     n = len(v)
-    ltr = _ltr_max_flags(v)
+    ltr = ltr_max_flags(v)
     rtl = [all(v[j] > v[i] for j in range(i + 1, n)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -322,7 +323,7 @@ def baxter_inversion_criterion(values) -> bool:
 def semibaxter_inversion_criterion(values) -> bool:
     """Every inversion has a LTR-maximum top."""
     v = tuple(values)
-    ltr = _ltr_max_flags(v)
+    ltr = ltr_max_flags(v)
     for i in range(len(v)):
         if not ltr[i] and any(v[j] < v[i] for j in range(i + 1, len(v))):
             return False

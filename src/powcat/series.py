@@ -1,10 +1,11 @@
 """Recurrences, reference sequences, and the kernel-method series check.
 
-Everything here is exact: coefficients are Python integers, series are
-truncated power series in x whose coefficients are Laurent polynomials in a
-single auxiliary variable a (negative exponents allowed), and the one
-rational operation (division by (1+a)^3) is expanded only far enough to
-read off the a^0 term.  No floating point enters this module.
+Everything here is exact.  Coefficients are Python integers; a Laurent
+polynomial in the auxiliary variable a is a pair (low, coeffs) standing for
+sum coeffs[i] * a^(low+i) over a dense integer list, and a power series in x
+truncated after x^order is a list of such pairs indexed by x-degree.  The one
+rational operation (division by (1+a)^3) is expanded only far enough to read
+off the a^0 term.  No floating point enters this module.
 """
 from __future__ import annotations
 
@@ -18,119 +19,6 @@ from .gentree import label_distribution
 # does not compute (their closed forms live in other work); sizes 1..13
 BAXTER_PREFIX = (1, 2, 6, 22, 92, 422, 2074, 10754, 58202, 326240, 1882960, 11140560, 67329992)
 SEMIBAXTER_PREFIX = (1, 2, 6, 23, 104, 530, 2958, 17734, 112657, 750726, 5207910, 37387881, 276467208)
-
-
-class LaurentPoly:
-    """Laurent polynomial in one variable with integer coefficients."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs=None):
-        self._c = {int(e): int(v) for e, v in (coeffs or {}).items() if v != 0}
-
-    @classmethod
-    def monomial(cls, exp, coeff=1):
-        return cls({exp: coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    def coeff(self, exp) -> int:
-        return self._c.get(exp, 0)
-
-    def items(self):
-        return sorted(self._c.items())
-
-    @property
-    def min_exp(self):
-        return min(self._c) if self._c else 0
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __add__(self, other):
-        out = dict(self._c)
-        for e, v in other._c.items():
-            out[e] = out.get(e, 0) + v
-        return LaurentPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self._c)
-        for e, v in other._c.items():
-            out[e] = out.get(e, 0) - v
-        return LaurentPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({e: v * other for e, v in self._c.items()})
-        out: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + v1 * v2
-        return LaurentPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self._c == other._c
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-    def __repr__(self):
-        if not self._c:
-            return "0"
-        return " + ".join(f"{v}*a^{e}" for e, v in self.items())
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power series in x modulo x^(order+1), Laurent-polynomial coefficients."""
-
-    order: int
-    coeffs: tuple[LaurentPoly, ...]
-
-    @classmethod
-    def zero(cls, order):
-        return cls(order, tuple(LaurentPoly.zero() for _ in range(order + 1)))
-
-    @classmethod
-    def constant(cls, order, poly: LaurentPoly):
-        return cls(order, (poly,) + tuple(LaurentPoly.zero() for _ in range(order)))
-
-    def coeff(self, n) -> LaurentPoly:
-        return self.coeffs[n]
-
-    def __add__(self, other):
-        return TruncatedSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return TruncatedSeries(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return TruncatedSeries(self.order, tuple(c * other for c in self.coeffs))
-        out = [LaurentPoly.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.order, tuple(out))
-
-    def shift_x(self, k=1):
-        """Multiply by x^k."""
-        pad = tuple(LaurentPoly.zero() for _ in range(k))
-        return TruncatedSeries(self.order, (pad + self.coeffs)[: self.order + 1])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -176,12 +64,12 @@ def callan_triangle(n_max: int) -> CountTriangle:
     c[n][k] = c[n-1][k-1] + k * sum_{j>=k} c[n-1][j]."""
     rows = [(1,)]
     for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = [0]
-        for k in range(1, n + 1):
-            above = prev[k - 1] if k - 1 < len(prev) else 0
-            tail = sum(prev[j] for j in range(k, len(prev)))
-            row.append(above + k * tail)
+        prev = rows[-1] + (0,)  # c[n-1][n] = 0
+        row = [0] * (n + 1)
+        tail = 0
+        for k in range(n, 0, -1):
+            tail += prev[k]  # now sum_{j>=k} c[n-1][j]
+            row[k] = prev[k - 1] + k * tail
         rows.append(tuple(row))
     return CountTriangle(tuple(rows))
 
@@ -216,52 +104,88 @@ def reference_sequence(name: str, n_max: int) -> list[int]:
 
 # -- kernel-method series ----------------------------------------------------------
 
+_ZERO = (0, [])
 
-def kernel_w(order: int) -> TruncatedSeries:
+
+def _poly_add(p, q):
+    if not p[1]:
+        return q
+    if not q[1]:
+        return p
+    low = min(p[0], q[0])
+    out = [0] * (max(p[0] + len(p[1]), q[0] + len(q[1])) - low)
+    for lo, c in (p, q):
+        for i, v in enumerate(c, lo - low):
+            out[i] += v
+    return (low, out)
+
+
+def _poly_mul(p, q):
+    (lp, cp), (lq, cq) = p, q
+    out = [0] * (len(cp) + len(cq) - 1) if cp and cq else []
+    for i, u in enumerate(cp):
+        if u:
+            for j, v in enumerate(cq, i):
+                out[j] += u * v
+    return (lp + lq, out)
+
+
+def _series_mul(s, t, order):
+    """Product of two x-series, truncated after x^order."""
+    out = [_ZERO] * (order + 1)
+    for i, p in enumerate(s[: order + 1]):
+        if p[1]:
+            for j in range(min(len(t), order + 1 - i)):
+                out[i + j] = _poly_add(out[i + j], _poly_mul(p, t[j]))
+    return out
+
+
+def kernel_w(order: int) -> list:
     """The unique power series with zero constant term satisfying
-    W = x * (1/a) * (W + 1 + a) * (W + a + a^2), modulo x^(order+1).
+    W = x * (1/a) * (W + 1 + a) * (W + a + a^2), modulo x^(order+1),
+    as a list of (low, coeffs) Laurent polynomials indexed by x-degree.
 
-    Fixed-point iteration from 0 settles one x-order per step because the
-    right side carries a factor x; the defining equation's residual is
-    asserted to vanish before returning.
+    With F1 = W + 1 + a and F2 = W + a + a^2, the x^n coefficient is
+    W_n = (1/a) * sum_{i<n} F1_i * F2_{n-1-i}, which needs only W_1..W_{n-1}.
+    The defining equation is checked again by a truncated series product
+    before returning; ArithmeticError when its residual is nonzero.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    a = LaurentPoly.monomial(1)
-    abar = LaurentPoly.monomial(-1)
-    one_a = LaurentPoly({0: 1, 1: 1})
-    a_a2 = LaurentPoly({1: 1, 2: 1})
-    w = TruncatedSeries.zero(order)
-
-    def rhs(s):
-        f1 = s + TruncatedSeries.constant(order, one_a)
-        f2 = s + TruncatedSeries.constant(order, a_a2)
-        return ((f1 * f2) * abar).shift_x(1)
-
-    for _ in range(order):
-        w = rhs(w)
-    if not (rhs(w) - w).is_zero():
-        raise ArithmeticError("fixed-point iteration failed to satisfy the kernel equation")
+    f1, f2 = [(0, [1, 1])], [(1, [1, 1])]
+    for n in range(1, order + 1):
+        total = _ZERO
+        for i in range(n):
+            total = _poly_add(total, _poly_mul(f1[i], f2[n - 1 - i]))
+        f1.append((total[0] - 1, total[1]))
+        f2.append(f1[-1])
+    w = [(0, [])] + f1[1:]
+    # residual W_n - (1/a) [x^(n-1)] F1*F2 for n = 1..order, by the series product
+    products = _series_mul(f1, f2, order - 1)
+    for w_n, (low, c) in zip(w[1:], products):
+        if any(_poly_add(w_n, (low - 1, [-v for v in c]))[1]):
+            raise ArithmeticError("kernel series fails to satisfy the kernel equation")
     return w
 
 
+# coefficient Laurent polynomials of W^1 .. W^4 in Q(a, W)
 _Q_COEFFS = (
-    # coefficient Laurent polys of W^1 .. W^4
-    LaurentPoly({-6: -1, -5: -3, -4: -3, -3: -1, 0: 1, 1: 3, 2: 3, 3: 1}),
-    LaurentPoly({-5: 1, -4: 1, -1: -1, 0: -1}),
-    LaurentPoly({-6: 1, -4: -1, -3: 1, -1: -1}),
-    LaurentPoly({-5: -1, -4: 1}),
+    (-6, [-1, -3, -3, -1, 0, 0, 1, 3, 3, 1]),
+    (-5, [1, 1, 0, 0, -1, -1]),
+    (-6, [1, 0, -1, 1, 0, -1]),
+    (-5, [-1, 1]),
 )
 
 
-def kernel_q(order: int) -> TruncatedSeries:
-    """Q(a, W): quartic in W with the fixed Laurent-polynomial coefficients."""
+def kernel_q(order: int) -> list:
+    """Q(a, W): quartic in W with the fixed Laurent-polynomial coefficients,
+    in the list form of kernel_w."""
     w = kernel_w(order)
-    total = TruncatedSeries.zero(order)
-    power = TruncatedSeries.constant(order, LaurentPoly.one())
+    total = [_ZERO] * (order + 1)
+    power = [(0, [1])] + [_ZERO] * order
     for q in _Q_COEFFS:
-        power = power * w
-        total = total + power * q
+        power = _series_mul(power, w, order)
+        total = [_poly_add(t, _poly_mul(q, p)) for t, p in zip(total, power)]
     return total
 
 
@@ -273,16 +197,11 @@ def kernel_a11(order: int) -> list[int]:
     sum_j (-1)^j binom(j+2,2) [a^-j] Q_n since 1/(1+a)^3 expands with those
     coefficients and only non-positive exponents of Q_n can contribute.
     """
-    q = kernel_q(order)
     out = []
-    for n in range(1, order + 1):
-        poly = q.coeff(n)
-        total = 0
-        for j in range(0, -poly.min_exp + 1):
-            c = poly.coeff(-j)
-            if c:
-                total += (-1) ** j * comb(j + 2, 2) * c
-        out.append(total)
+    for low, c in kernel_q(order)[1:]:
+        # c[-j - low] is the a^-j coefficient; j runs over those present
+        js = range(max(0, 1 - low - len(c)), -low + 1)
+        out.append(sum((-1) ** j * comb(j + 2, 2) * c[-j - low] for j in js))
     return out
 
 

@@ -8,6 +8,7 @@ acceptance test module both run these same checks.
 """
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ def _result(name, sizes, t0, failures, detail=""):
         name=name,
         ok=not failures,
         sizes=sizes,
-        elapsed=round(time.time() - t0, 3),
+        elapsed=round(time.perf_counter() - t0, 3),
         counterexample=failures[0] if failures else None,
         detail=detail,
     )
@@ -90,7 +91,7 @@ def _all_invseqs(n):
 
 def check_family_counts():
     """Exhaustive family sizes against the reference enumeration prefixes."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for fam, prefix in FAMILY_PREFIXES.items():
         got = tuple(len(invseq_members(fam, n)) for n in range(1, len(prefix) + 1))
@@ -101,7 +102,7 @@ def check_family_counts():
 
 def check_word_characterizations():
     """Relation-triple classes coincide with their word-avoidance classes."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for fam, words in patterns.WORD_CHARACTERIZATIONS.items():
         wp = tuple(WordPattern.parse(w) for w in words)
@@ -117,7 +118,7 @@ def check_word_characterizations():
 
 def check_structural_criteria():
     """Direct structural descriptions pick out exactly the avoidance classes."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for fam, crit in CRITERIA.items():
         for n in range(1, 10):
@@ -142,7 +143,7 @@ def check_structural_criteria():
 
 def check_equinumerosity():
     """The classical inversion-sequence/permutation count equalities, n <= 7."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for triple_text, av in EQUINUMEROUS_PAIRS:
         triple = RelationTriple.parse(triple_text)
@@ -170,7 +171,7 @@ def check_equinumerosity():
 
 def check_rule_object_agreement():
     """Rule level counts equal exhaustive object counts for all eight rules."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     object_counts = {
         "cat": lambda n: len(invseq_members("cat", n)),
@@ -195,7 +196,7 @@ def check_rule_object_agreement():
 def check_count_agreement_deep():
     """Family counts vs rule levels at the top of the exhaustive range,
     including the other two powered Catalan realizations."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     deep = {
         "cat": (9, lambda n: len(invseq_members("cat", n))),
@@ -220,7 +221,7 @@ def check_count_agreement_deep():
 def check_growth_consistency():
     """Acceptance growth certification: the seven core growths at n_max = 7
     (the insertion growth one size deeper)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for fam, n_max in (
         ("cat", 8),
@@ -239,7 +240,7 @@ def check_growth_consistency():
 
 def check_growth_consistency_extra():
     """Same certification for the remaining realizations."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for fam, n_max in (("p1234", 7), ("pcat:vmdyck", 7), ("pcat:tree", 7)):
         rep = growth.growth_consistency(fam, n_max)
@@ -251,7 +252,7 @@ def check_growth_consistency_extra():
 def check_triangle_refinements():
     """c[n][k] = pcat labels = zero-counts in I(=,>,>) = last-descent counts
     in valley-marked Dyck paths, n <= 8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     tri = series.callan_triangle(8)
     dist = label_distribution("pcat", 8)
@@ -271,7 +272,7 @@ def check_triangle_refinements():
 
 def check_rule_isomorphism():
     """The 1-23-4 rule relabels onto the steady rule, depth 10."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok, divergence = rules_isomorphic_check("p1234", "steady", p1234_to_steady_relabel, 10)
     failures = [] if ok else [f"diverges at {divergence}"]
     return _result("rule-isomorphism", "depth 10", t0, failures)
@@ -280,7 +281,7 @@ def check_rule_isomorphism():
 def check_label_distribution_consistency():
     """Per-level label counts sum to the level counts; pcat labels follow the
     triangle recurrence out to depth 12."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for rule in ("cat", "cat2", "i-geq3", "bax", "semi", "pcat", "p1234", "steady"):
         dist = label_distribution(rule, 10)
@@ -302,7 +303,7 @@ def check_label_distribution_consistency():
 
 def check_catalan_correspondence():
     """Reversed-table map is a bijection I(geq,dash,geq) -> AV(1-23, 2-14-3)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for n in range(1, 10):
         members = enumerate_class("invseq-triple", patterns.INVSEQ_FAMILIES["cat"], n)
@@ -322,7 +323,7 @@ def check_catalan_correspondence():
 
 def check_steady_correspondence():
     """Diagonal-distance encoding is a bijection steady paths -> AV(1-34-2)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for n in range(1, 9):
         words = patterns.steady_words(n)
@@ -343,7 +344,7 @@ def check_star_maps():
     """phi*/theta* are mutually inverse bijections with the statistics
     contract (W count -> total mark, diagonal steps kept, returns to axis ->
     returns to the mark)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for n in range(1, 8):
         steadies = enumerate_class("path-kind", PathKind.STEADY, n)
@@ -372,7 +373,7 @@ def check_star_maps():
 def check_single_step_maps():
     """One phi or theta step: round trips both ways and the conservation of
     total mark + W count, exhaustively over marked steady paths."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for n in range(1, 7):
         for p in enumerate_class("path-kind", PathKind.VMSTEADY, n):
@@ -399,7 +400,7 @@ def check_single_step_maps():
 
 def check_series_agreement():
     """Kernel extraction = recurrence = brute force, n <= 9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     by_kernel = series.kernel_a11(9)
     by_rec = series.e3_sequence(9)[1:]
@@ -412,8 +413,8 @@ def check_series_agreement():
 
 
 def check_kernel_residual():
-    """The fixed-point series satisfies its defining equation at order 8."""
-    t0 = time.time()
+    """The kernel series satisfies its defining equation at order 8."""
+    t0 = time.perf_counter()
     failures = []
     try:
         series.kernel_w(8)  # raises when the residual is nonzero
@@ -424,7 +425,7 @@ def check_kernel_residual():
 
 def check_functional_equation():
     """The two-catalytic-variable equation holds on the rule's distribution."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     residuals = series.functional_equation_residual(8)
     for n, r in enumerate(residuals, start=1):
@@ -436,7 +437,7 @@ def check_functional_equation():
 
 def check_triangle_row_sums():
     """Triangle row sums equal rule levels and family counts, n <= 9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     tri = series.callan_triangle(9)
     sums = tri.row_sums()
@@ -480,7 +481,7 @@ def conjecture_23_1_4_report(n_max: int = 9):
 
 def check_conjecture_evidence():
     """Acceptance wrapper: the harness reports agreement through n = 9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = conjecture_23_1_4_report(9)
     failures = [f"n={r['n']}: distribution differs" for r in rows if not r["agree"]]
     return _result("conjecture-23-1-4", "n <= 9 (evidence only)", t0, failures)
@@ -529,14 +530,18 @@ def _run_check_by_name(name: str) -> CheckResult:
 def run_suite(suite: str, jobs: int = 1, progress=None):
     """Run one suite; results come back in declaration order regardless of
     how the checks were scheduled.  progress, when given, is called with
-    each CheckResult as it becomes available (in declaration order)."""
+    each CheckResult as it becomes available (in declaration order).  jobs
+    must be at least 1; more workers than checks or CPUs are not started."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     fns = SUITES[suite]
     results = []
-    if jobs > 1:
+    workers = min(jobs, len(fns), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         names = [fn.__name__.removeprefix("check_").replace("_", "-") for fn in fns]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_run_check_by_name, names):
                 if progress is not None:
                     progress(result)

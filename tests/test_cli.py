@@ -109,6 +109,43 @@ def test_verify_parallel_jobs_keep_declaration_order():
     assert names == ["series-agreement", "kernel-residual", "functional-equation", "triangle-row-sums"]
 
 
+def test_verify_jobs_must_be_positive():
+    for jobs in ("0", "-5"):
+        code, out = run(["verify", "series", "--jobs", jobs])
+        assert (code, out) == (2, ""), jobs
+
+
+def test_verify_workers_are_clamped(monkeypatch):
+    import concurrent.futures
+
+    import powcat.verify as verify_mod
+
+    def passing_check():
+        return verify_mod.CheckResult(name="fake", ok=True, sizes="n/a", elapsed=0.0)
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, names):
+            return [passing_check() for _ in names]
+
+    started = []
+    monkeypatch.setitem(verify_mod.SUITES, "series", (passing_check,) * 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for cpus, expected in ((64, [3]), (2, [2]), (None, [])):
+        started.clear()
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cpus)
+        results = verify_mod.run_suite("series", jobs=1000)
+        assert started == expected and len(results) == 3 and all(r.ok for r in results)
+
+
 def test_conjecture_report():
     code, out = run(["conjecture", "--n", "4", "--format", "json"])
     assert code == 0
@@ -122,6 +159,17 @@ def test_grow_rejects_non_members():
     for family, text in (("cat", "0,5"), ("p1234", "1,1"), ("semi", "0,3,1")):
         code, out = run(["grow", "--family", family, "--input", text])
         assert (code, out) == (2, ""), (family, text)
+
+
+def test_grown_trees_are_valid_grow_input():
+    frontier = ["0(1)"]
+    for _ in range(3):
+        code, out = run(["grow", "--family", "pcat:tree", "--input", frontier[0], "--format", "json"])
+        assert code == 0
+        frontier = [c["object"] for c in json.loads(out)]
+        for text in frontier:
+            code, _ = run(["grow", "--family", "pcat:tree", "--input", text])
+            assert code == 0, text
 
 
 def test_conjecture_size_is_bounded():

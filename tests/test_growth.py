@@ -224,7 +224,7 @@ def test_tree_children_of_a_single_edge():
     kids = tree_children(OrderedTree(0, (OrderedTree(1),)))
     assert sorted(lab for _, lab in kids) == [(1,), (2,)]
     texts = sorted(to_text(c) for c, _ in kids)
-    assert texts == ["0(1(2))", "0(12)"]
+    assert texts == ["0(1(2))", "0(1,2)"]
 
 
 def test_tree_growth_level_counts():

@@ -255,6 +255,12 @@ def test_tree_validation():
     assert any(v.invariant == "increasing" for v in validate(bad_parent).violations)
 
 
+def test_tree_text_separates_sibling_leaves():
+    t = OrderedTree(0, (OrderedTree(1), OrderedTree(2)))
+    assert to_text(t) == "0(1,2)"
+    assert parse_object("0(1,2)", "tree") == t
+
+
 def test_tree_text_multi_digit_labels_use_separators():
     t = OrderedTree(0, (OrderedTree(1, (OrderedTree(10),)), OrderedTree(2)))
     text = to_text(t)

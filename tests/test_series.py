@@ -5,7 +5,6 @@ from powcat.patterns import invseq_members
 from powcat.series import (
     BAXTER_PREFIX,
     SEMIBAXTER_PREFIX,
-    LaurentPoly,
     callan_triangle,
     e3_sequence,
     functional_equation_residual,
@@ -47,20 +46,39 @@ def test_reference_sequences():
         reference_sequence("semibaxter", len(SEMIBAXTER_PREFIX) + 1)
 
 
-def test_laurent_arithmetic():
-    a = LaurentPoly.monomial(1)
-    abar = LaurentPoly.monomial(-1)
-    assert a * abar == LaurentPoly.one()
-    p = (a + LaurentPoly.one()) * (a + LaurentPoly.one())
-    assert p == LaurentPoly({0: 1, 1: 2, 2: 1})
-    assert (p - p).is_zero()
-    assert p.coeff(1) == 2 and p.coeff(-1) == 0
+def _callan_triangle_by_triple_sum(n_max):
+    """The defining recurrence summed afresh for every entry, O(n^3)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        rows.append([0] + [prev[k - 1] + k * sum(prev[j] for j in range(k, n)) for k in range(1, n + 1)])
+    return rows
+
+
+def test_triangle_equals_the_triple_sum_recurrence():
+    rows = callan_triangle(60).rows
+    assert [list(r) for r in rows] == _callan_triangle_by_triple_sum(60)
 
 
 def test_kernel_w_first_coefficient():
     w = kernel_w(4)
-    assert w.coeff(0).is_zero()
-    assert w.coeff(1) == LaurentPoly({0: 1, 1: 2, 2: 1})  # (1 + a)^2
+    assert len(w) == 5
+    assert w[0] == (0, [])
+    assert w[1] == (0, [1, 2, 1])  # (1 + a)^2
+
+
+def test_kernel_w_matches_the_quadratic_root():
+    # W is the root of x W^2 + B W + C = 0 that vanishes at x = 0
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a", positive=True)
+    x = sympy.Symbol("x")
+    b = x * (1 + a) + x * (a + a**2) - a
+    c = x * (1 + a) * (a + a**2)
+    root = (-b - sympy.sqrt(b**2 - 4 * x * c)) / (2 * x)
+    expansion = sympy.series(root, x, 0, 9).removeO()
+    for n, (low, coeffs) in enumerate(kernel_w(8)):
+        poly = sum(v * a ** (low + i) for i, v in enumerate(coeffs))
+        assert sympy.cancel(expansion.coeff(x, n) - poly) == 0, n
 
 
 def test_kernel_w_residual_at_order_8():
