@@ -25,6 +25,7 @@ from .patterns import (
     count_class,
     enumerate_class,
     equinumerosity_check,
+    in_class,
     perm_statistics,
 )
 from .gentree import (

@@ -97,7 +97,7 @@ def _cmd_triangle(args):
 
 def _cmd_grow(args):
     fam = growth.FAMILIES[args.family]
-    obj = _parse_growth_input(args.family, args.input)
+    obj = parse_object(args.input, fam.kind)
     children = fam.children(obj)
     payload = [{"object": to_text(c), "label": list(lab)} for c, lab in children]
     if args.format == "text":
@@ -110,24 +110,6 @@ def _cmd_grow(args):
     else:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return 0
-
-
-_GROWTH_INPUT_KINDS = {
-    "cat": "invseq",
-    "cat2": "invseq",
-    "i-geq3": "invseq",
-    "bax": "invseq",
-    "semi": "invseq",
-    "pcat:invseq": "invseq",
-    "pcat:vmdyck": "vmdyck",
-    "pcat:tree": "tree",
-    "steady": "steady",
-    "p1234": "perm",
-}
-
-
-def _parse_growth_input(family, text):
-    return parse_object(text, _GROWTH_INPUT_KINDS[family])
 
 
 def _cmd_map(args):
@@ -251,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "run a cross-validation suite")
     p.add_argument("suite", choices=sorted(verify.SUITES), nargs="?", default="all")
-    p.add_argument("--n-small", action="store_true", help="desk-scale sizes (the default profile)")
     p.add_argument("--jobs", type=int, default=1)
 
     p = add("conjecture", _cmd_conjecture, "RTL-minima evidence for AV(23-1-4)")

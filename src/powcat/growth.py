@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import MembershipError
@@ -31,8 +32,8 @@ from .objects import (
 )
 from .patterns import (
     VincularPattern,
-    avoids_vincular,
     enumerate_class,
+    in_class,
     in_invseq_family,
     INVSEQ_FAMILIES,
     ltr_max_flags,
@@ -41,11 +42,26 @@ from .patterns import (
 P1234 = VincularPattern.parse("1-23-4")
 
 
+def _invseq_class(family: str):
+    """Class key of one of the five named inversion-sequence families."""
+    return ("invseq-triple", INVSEQ_FAMILIES[family])
+
+
+P1234_CLASS = ("perm-vincular", P1234)
+
+
 def _require_valid(obj, what: str):
     """Raise MembershipError unless obj satisfies its kind's invariants."""
     report = validate(obj)
     if not report.ok:
         raise MembershipError(f"{to_text(obj)} is not {what}: {report.violations[0].detail}")
+
+
+def _require_member(obj, cls, what: str):
+    """Raise MembershipError unless obj is a valid member of the class cls."""
+    _require_valid(obj, what)
+    if not in_class(*cls, obj):
+        raise MembershipError(f"{to_text(obj)} is not {what}")
 
 
 # -- Catalan inversion sequences, entry insertion --------------------------------
@@ -62,9 +78,7 @@ def cat_insert(e: InversionSequence, i: int) -> InversionSequence:
 
 def active_positions_cat(e: InversionSequence) -> list[int]:
     """Positions i where cat_insert keeps membership in the geq,dash,geq family."""
-    _require_valid(e, "an inversion sequence")
-    if not in_invseq_family("cat", e.entries):
-        raise MembershipError(f"{to_text(e)} is not a Catalan inversion sequence")
+    _require_member(e, _invseq_class("cat"), "a Catalan inversion sequence")
     return [
         i
         for i in range(1, len(e) + 2)
@@ -173,9 +187,7 @@ def _rightmost_entry_children(family: str, e: InversionSequence):
 def children_rightmost_entry(family: str, e: InversionSequence):
     """Children of e by adding a new rightmost entry, with their labels."""
     membership = "cat" if family == "cat2" else family
-    _require_valid(e, "an inversion sequence")
-    if not in_invseq_family(membership, e.entries):
-        raise MembershipError(f"{to_text(e)} is not in family {membership}")
+    _require_member(e, _invseq_class(membership), f"an inversion sequence of family {membership}")
     return [
         (InversionSequence(e.entries + (p,)), lab)
         for p, lab in _rightmost_entry_children(family, e)
@@ -197,9 +209,7 @@ def pcat_children_invseq(e: InversionSequence):
     the rest becoming the (unique possible) 1s.
     """
     v = e.entries
-    _require_valid(e, "an inversion sequence")
-    if not in_invseq_family("pcat", v):
-        raise MembershipError(f"{to_text(e)} does not avoid 110")
+    _require_member(e, _invseq_class("pcat"), "an inversion sequence avoiding 110")
     zero_pos = [i for i, x in enumerate(v) if x == 0]
     k = len(zero_pos)
     shifted = tuple(x + 1 if x > 0 else 0 for x in v)
@@ -226,9 +236,7 @@ def pcat_parent_invseq(f: InversionSequence) -> InversionSequence:
     v = f.entries
     if len(v) < 2:
         raise ValueError("size-1 sequence has no parent")
-    _require_valid(f, "an inversion sequence")
-    if not in_invseq_family("pcat", v):
-        raise MembershipError(f"{to_text(f)} does not avoid 110")
+    _require_member(f, _invseq_class("pcat"), "an inversion sequence avoiding 110")
     undone = tuple(0 if x == 1 else x for x in v)
     cut = undone.index(0)
     rest = undone[:cut] + undone[cut + 1 :]
@@ -290,9 +298,7 @@ def perm_append(p: Permutation, a: int) -> Permutation:
 def perm1234_children(p: Permutation):
     """Children by right expansion at each active site, with their labels."""
     v = p.values
-    _require_valid(p, "a permutation")
-    if not avoids_vincular(p, P1234):
-        raise MembershipError(f"{to_text(p)} contains 1-23-4")
+    _require_member(p, P1234_CLASS, "a permutation avoiding 1-23-4")
     bound = _p1234_site_bound(v)
     h, k = p1234_label(p)
     out = []
@@ -367,70 +373,43 @@ def tree_children(t: OrderedTree):
 
 @dataclass(frozen=True)
 class FamilyGrowth:
-    name: str
+    """One growth: its rule, the text format of its objects (a parse_object
+    kind) and its class key (kind, spec), from which the objects of each size
+    and the membership test come, independently of the growth itself."""
+
     rule: str
+    kind: str
+    cls: tuple
     children: Callable
     label: Callable
-    member: Callable
-    enumerate: Callable  # size -> list of objects, independent of the growth
     parent: Callable | None = None
 
+    def enumerate(self, n: int) -> list:
+        return enumerate_class(*self.cls, n)
 
-def _invseq_enum(family):
-    triple = INVSEQ_FAMILIES[family]
-    return lambda n: enumerate_class("invseq-triple", triple, n)
+    def member(self, obj) -> bool:
+        return validate(obj).ok and in_class(*self.cls, obj)
 
 
 FAMILIES = {
-    "cat": FamilyGrowth(
-        "cat", "cat", cat_children, cat_label,
-        lambda e: in_invseq_family("cat", e.entries), _invseq_enum("cat"),
-    ),
+    "cat": FamilyGrowth("cat", "invseq", _invseq_class("cat"), cat_children, cat_label),
     "cat2": FamilyGrowth(
-        "cat2", "cat2",
-        lambda e: children_rightmost_entry("cat2", e), cat2_label,
-        lambda e: in_invseq_family("cat", e.entries), _invseq_enum("cat"),
+        "cat2", "invseq", _invseq_class("cat"), partial(children_rightmost_entry, "cat2"), cat2_label
     ),
     "i-geq3": FamilyGrowth(
-        "i-geq3", "i-geq3",
-        lambda e: children_rightmost_entry("i-geq3", e), igeq3_label,
-        lambda e: in_invseq_family("i-geq3", e.entries), _invseq_enum("i-geq3"),
+        "i-geq3", "invseq", _invseq_class("i-geq3"), partial(children_rightmost_entry, "i-geq3"), igeq3_label
     ),
-    "bax": FamilyGrowth(
-        "bax", "bax",
-        lambda e: children_rightmost_entry("bax", e), bax_label,
-        lambda e: in_invseq_family("bax", e.entries), _invseq_enum("bax"),
-    ),
+    "bax": FamilyGrowth("bax", "invseq", _invseq_class("bax"), partial(children_rightmost_entry, "bax"), bax_label),
     "semi": FamilyGrowth(
-        "semi", "semi",
-        lambda e: children_rightmost_entry("semi", e), semi_label,
-        lambda e: in_invseq_family("semi", e.entries), _invseq_enum("semi"),
+        "semi", "invseq", _invseq_class("semi"), partial(children_rightmost_entry, "semi"), semi_label
     ),
     "pcat:invseq": FamilyGrowth(
-        "pcat:invseq", "pcat", pcat_children_invseq, pcat_label_invseq,
-        lambda e: in_invseq_family("pcat", e.entries), _invseq_enum("pcat"),
-        parent=pcat_parent_invseq,
+        "pcat", "invseq", _invseq_class("pcat"), pcat_children_invseq, pcat_label_invseq, pcat_parent_invseq
     ),
-    "pcat:vmdyck": FamilyGrowth(
-        "pcat:vmdyck", "pcat", vmdyck_children, vmdyck_label,
-        lambda p: validate(p).ok and p.kind is PathKind.VMDYCK,
-        lambda n: enumerate_class("path-kind", PathKind.VMDYCK, n),
-    ),
-    "pcat:tree": FamilyGrowth(
-        "pcat:tree", "pcat", tree_children, tree_label,
-        lambda t: validate(t).ok,
-        lambda n: enumerate_class("tree", None, n),
-    ),
-    "steady": FamilyGrowth(
-        "steady", "steady", steady_children, steady_label,
-        lambda p: validate(p).ok and p.kind is PathKind.STEADY,
-        lambda n: enumerate_class("path-kind", PathKind.STEADY, n),
-    ),
-    "p1234": FamilyGrowth(
-        "p1234", "p1234", perm1234_children, p1234_label,
-        lambda p: avoids_vincular(p, P1234),
-        lambda n: enumerate_class("perm-vincular", P1234, n),
-    ),
+    "pcat:vmdyck": FamilyGrowth("pcat", "vmdyck", ("path-kind", PathKind.VMDYCK), vmdyck_children, vmdyck_label),
+    "pcat:tree": FamilyGrowth("pcat", "tree", ("tree", None), tree_children, tree_label),
+    "steady": FamilyGrowth("steady", "steady", ("path-kind", PathKind.STEADY), steady_children, steady_label),
+    "p1234": FamilyGrowth("p1234", "perm", P1234_CLASS, perm1234_children, p1234_label),
 }
 
 

@@ -28,7 +28,7 @@ canonical text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 from .errors import LimitError, ParseError
@@ -678,46 +678,65 @@ def _as_pattern_key(spec):
     return tuple(spec)
 
 
+def _as_is(obj):
+    return obj
+
+
+def _class_raw(kind: str, spec, n: int, limit=None):
+    """(cached raw members, constructor of one object from a raw member) of
+    the size-n class; LimitError above the exhaustive cap, ParseError for an
+    unknown kind."""
+    if kind == "invseq-triple":
+        _check_limit("invseq", n, limit)
+        return invseq_class_raw(_as_pattern_key(spec), (), n), InversionSequence
+    if kind == "invseq-words":
+        _check_limit("invseq", n, limit)
+        return invseq_class_raw((), _as_pattern_key(spec), n), InversionSequence
+    if kind == "perm-vincular":
+        _check_limit("perm", n, limit)
+        return perm_class_raw(_as_pattern_key(spec), n), Permutation
+    if kind == "path-kind":
+        _check_limit("path", n, limit)
+        k = PathKind(spec)
+        if k.marked:
+            raw = vmdyck_paths_raw(n) if k is PathKind.VMDYCK else vmsteady_paths_raw(n)
+            return raw, lambda steps_marks: LatticePath(*steps_marks, k)
+        return (dyck_words(n) if k is PathKind.DYCK else steady_words(n)), partial(make_path, kind=k)
+    if kind == "tree":
+        _check_limit("tree", n, limit)
+        return increasing_leaf_trees(n), _as_is
+    raise ParseError(f"unknown class kind {kind!r}")
+
+
 def enumerate_class(kind: str, spec, n: int, limit=None):
     """Stream the size-n objects of a class, sorted by canonical text.
 
-    kind is one of invseq-triple, invseq-words, perm-vincular,
-    perm-classical, path-kind, tree; spec carries the patterns (or the
-    PathKind).  Raises LimitError above the exhaustive cap.
+    kind is one of invseq-triple, invseq-words, perm-vincular, path-kind,
+    tree; spec carries the patterns (or the PathKind).  Raises LimitError
+    above the exhaustive cap.
     """
-    if kind == "invseq-triple":
-        _check_limit("invseq", n, limit)
-        raw = invseq_class_raw(_as_pattern_key(spec), (), n)
-        objs = [InversionSequence(v) for v in raw]
-    elif kind == "invseq-words":
-        _check_limit("invseq", n, limit)
-        raw = invseq_class_raw((), _as_pattern_key(spec), n)
-        objs = [InversionSequence(v) for v in raw]
-    elif kind in ("perm-vincular", "perm-classical"):
-        _check_limit("perm", n, limit)
-        raw = perm_class_raw(_as_pattern_key(spec), n)
-        objs = [Permutation(v) for v in raw]
-    elif kind == "path-kind":
-        _check_limit("path", n, limit)
-        k = PathKind(spec)
-        if k is PathKind.DYCK:
-            objs = [make_path(w, kind=k) for w in dyck_words(n)]
-        elif k is PathKind.VMDYCK:
-            objs = [LatticePath(w, m, k) for w, m in vmdyck_paths_raw(n)]
-        elif k is PathKind.STEADY:
-            objs = [make_path(w, kind=k) for w in steady_words(n)]
-        else:
-            objs = [LatticePath(w, m, k) for w, m in vmsteady_paths_raw(n)]
-    elif kind == "tree":
-        _check_limit("tree", n, limit)
-        objs = list(increasing_leaf_trees(n))
-    else:
-        raise ParseError(f"unknown class kind {kind!r}")
-    return sorted(objs, key=to_text)
+    raw, make = _class_raw(kind, spec, n, limit)
+    return sorted(map(make, raw), key=to_text)
 
 
 def count_class(kind: str, spec, n: int, limit=None) -> int:
-    return len(enumerate_class(kind, spec, n, limit))
+    return len(_class_raw(kind, spec, n, limit)[0])
+
+
+def in_class(kind: str, spec, obj) -> bool:
+    """Whether an object that already passes validate() belongs to the class
+    (of any size); an object of another kind does not."""
+    if kind == "invseq-triple":
+        return isinstance(obj, InversionSequence) and all(avoids_triple(obj, t) for t in _as_pattern_key(spec))
+    if kind == "invseq-words":
+        return isinstance(obj, InversionSequence) and all(avoids_word(obj, w) for w in _as_pattern_key(spec))
+    if kind == "perm-vincular":
+        return isinstance(obj, Permutation) and all(avoids_vincular(obj, p) for p in _as_pattern_key(spec))
+    if kind == "path-kind":
+        return isinstance(obj, LatticePath) and obj.kind is PathKind(spec)
+    if kind == "tree":
+        return isinstance(obj, OrderedTree)
+    raise ParseError(f"unknown class kind {kind!r}")
 
 
 def equinumerosity_check(class_a, class_b, n_max: int, limit=None):

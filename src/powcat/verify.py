@@ -20,6 +20,7 @@ from .patterns import (
     RelationTriple,
     VincularPattern,
     WordPattern,
+    count_class,
     enumerate_class,
     invseq_members,
 )
@@ -149,7 +150,7 @@ def check_equinumerosity():
         triple = RelationTriple.parse(triple_text)
         pats = tuple(VincularPattern.parse("-".join(p)) for p in av)
         rows = patterns.equinumerosity_check(
-            ("invseq-triple", triple), ("perm-classical", pats), 7
+            ("invseq-triple", triple), ("perm-vincular", pats), 7
         )
         for n, ca, cb, equal in rows:
             if not equal:
@@ -170,26 +171,17 @@ def check_equinumerosity():
 
 
 def check_rule_object_agreement():
-    """Rule level counts equal exhaustive object counts for all eight rules."""
+    """Rule level counts equal exhaustive object counts for every growth
+    family, so for all eight rules."""
     t0 = time.perf_counter()
     failures = []
-    object_counts = {
-        "cat": lambda n: len(invseq_members("cat", n)),
-        "cat2": lambda n: len(invseq_members("cat", n)),
-        "i-geq3": lambda n: len(invseq_members("i-geq3", n)),
-        "bax": lambda n: len(invseq_members("bax", n)),
-        "semi": lambda n: len(invseq_members("semi", n)),
-        "pcat": lambda n: len(invseq_members("pcat", n)),
-        "p1234": lambda n: len(patterns.perm_class_raw((growth.P1234,), n)),
-        "steady": lambda n: len(patterns.steady_words(n)),
-    }
-    for rule, counter in object_counts.items():
-        depth = 7 if rule == "p1234" else 8
-        levels = level_counts(rule, depth)
+    for name, fam in growth.FAMILIES.items():
+        depth = 7 if fam.rule == "p1234" else 8
+        levels = level_counts(fam.rule, depth)
         for d in range(1, depth + 1):
-            got = counter(d)
+            got = count_class(*fam.cls, d)
             if got != levels[d - 1]:
-                failures.append(f"{rule} at size {d}: {got} objects vs {levels[d - 1]} nodes")
+                failures.append(f"{name} at size {d}: {got} objects vs {levels[d - 1]} nodes")
     return _result("rule-object-agreement", "d <= 8 (p1234 <= 7)", t0, failures)
 
 
@@ -198,23 +190,12 @@ def check_count_agreement_deep():
     including the other two powered Catalan realizations."""
     t0 = time.perf_counter()
     failures = []
-    deep = {
-        "cat": (9, lambda n: len(invseq_members("cat", n))),
-        "i-geq3": (9, lambda n: len(invseq_members("i-geq3", n))),
-        "bax": (9, lambda n: len(invseq_members("bax", n))),
-        "semi": (9, lambda n: len(invseq_members("semi", n))),
-        "pcat": (9, lambda n: len(invseq_members("pcat", n))),
-        "pcat:vmdyck": (9, lambda n: len(patterns.vmdyck_paths_raw(n))),
-        "pcat:tree": (9, lambda n: len(patterns.increasing_leaf_trees(n))),
-        "steady": (9, lambda n: len(patterns.steady_words(n))),
-        "p1234": (8, lambda n: len(patterns.perm_class_raw((growth.P1234,), n))),
-    }
-    for fam, (n_top, counter) in deep.items():
-        rule = fam.split(":")[0]
-        expect = level_counts(rule, n_top)[n_top - 1]
-        got = counter(n_top)
+    for name, fam in growth.FAMILIES.items():
+        n_top = 8 if fam.rule == "p1234" else 9
+        expect = level_counts(fam.rule, n_top)[n_top - 1]
+        got = count_class(*fam.cls, n_top, limit=n_top)
         if got != expect:
-            failures.append(f"{fam} at size {n_top}: {got} objects vs {expect} nodes")
+            failures.append(f"{name} at size {n_top}: {got} objects vs {expect} nodes")
     return _result("count-agreement-deep", "n = 9 (perms 8)", t0, failures)
 
 
@@ -520,11 +501,22 @@ SUITES = {
 }
 SUITES["all"] = SUITES["characterizations"] + SUITES["growths"] + SUITES["bijections"] + SUITES["series"] + (check_conjecture_evidence,)
 
-CHECKS = {fn.__name__.removeprefix("check_").replace("_", "-"): fn for fns in SUITES.values() for fn in fns}
+
+def _check_name(fn) -> str:
+    return fn.__name__.removeprefix("check_").replace("_", "-")
 
 
-def _run_check_by_name(name: str) -> CheckResult:
-    return CHECKS[name]()
+CHECKS = {_check_name(fn): fn for fns in SUITES.values() for fn in fns}
+
+
+def _run_check(fn) -> CheckResult:
+    """Run one check; a broken internal invariant (AssertionError or
+    ArithmeticError) inside it becomes that check's FAIL, not a crash."""
+    t0 = time.perf_counter()
+    try:
+        return fn()
+    except (ArithmeticError, AssertionError) as err:
+        return _result(_check_name(fn), "n/a", t0, [str(err) or type(err).__name__])
 
 
 def run_suite(suite: str, jobs: int = 1, progress=None):
@@ -536,20 +528,19 @@ def run_suite(suite: str, jobs: int = 1, progress=None):
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     fns = SUITES[suite]
     results = []
+
+    def collect(stream):
+        for result in stream:
+            if progress is not None:
+                progress(result)
+            results.append(result)
+
     workers = min(jobs, len(fns), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        names = [fn.__name__.removeprefix("check_").replace("_", "-") for fn in fns]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_check_by_name, names):
-                if progress is not None:
-                    progress(result)
-                results.append(result)
+            collect(pool.map(_run_check, fns))
     else:
-        for fn in fns:
-            result = fn()
-            if progress is not None:
-                progress(result)
-            results.append(result)
+        collect(map(_run_check, fns))
     return results

@@ -97,9 +97,9 @@ def test_verify_series_suite_passes_and_is_json_clean():
     assert {c["name"] for c in payload["checks"]} >= {"series-agreement", "kernel-residual"}
 
 
-def test_verify_accepts_n_small_flag():
+def test_verify_rejects_the_removed_n_small_flag():
     code, out = run(["verify", "series", "--n-small"])
-    assert code == 0 and "suite series: pass" in out
+    assert (code, out) == (2, "")
 
 
 def test_verify_parallel_jobs_keep_declaration_order():
@@ -201,6 +201,20 @@ def test_verify_failure_exits_1(monkeypatch):
     code, out = run(["verify", "series"])
     assert code == 1
     assert "FAIL" in out and "boom" in out
+
+
+def test_broken_invariant_fails_its_check_instead_of_crashing(monkeypatch):
+    import powcat.series as series_mod
+
+    def broken_kernel(order):
+        raise ArithmeticError("kernel series residual is nonzero")
+
+    monkeypatch.setattr(series_mod, "kernel_w", broken_kernel)
+    code, out = run(["verify", "series", "--jobs", "1"])
+    assert code == 1
+    assert "series-agreement: FAIL" in out
+    assert "counterexample: kernel series residual is nonzero" in out
+    assert "functional-equation: pass" in out and "suite series: FAIL" in out
 
 
 def test_outputs_are_reproducible():

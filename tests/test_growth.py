@@ -264,3 +264,43 @@ def test_label_agreement_between_parent_and_child():
             for obj in fam.enumerate(n):
                 for child, lab in fam.children(obj):
                     assert fam.label(child) == lab
+
+
+# -- the registry derived from class keys ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_registry_members_and_counts_agree_with_the_class(family):
+    from itertools import product
+
+    from powcat.patterns import count_class
+
+    fam = FAMILIES[family]
+    for n in range(1, 6):
+        members = fam.enumerate(n)
+        assert all(fam.member(obj) for obj in members)
+        assert count_class(*fam.cls, n) == len(members)
+        if fam.kind == "invseq":
+            inside = {obj.entries for obj in members}
+            outside = [InversionSequence(v) for v in product(*(range(i) for i in range(1, n + 1))) if v not in inside]
+            assert not any(fam.member(e) for e in outside)
+
+
+def test_registry_membership_checks_the_kind_invariants():
+    assert not FAMILIES["p1234"].member(Permutation((1, 1)))
+    assert not FAMILIES["cat"].member(InversionSequence((0, 5)))
+    assert not FAMILIES["cat"].member(Permutation((1, 2)))
+
+
+def test_registry_rules_text_formats_and_cli_choices():
+    from powcat.cli import build_parser
+    from powcat.gentree import RULES
+    from powcat.objects import parse_object
+
+    for fam in FAMILIES.values():
+        assert fam.rule in RULES
+        for obj in fam.enumerate(4):
+            assert parse_object(to_text(obj), fam.kind) == obj
+    grow = build_parser()._subparsers._group_actions[0].choices["grow"]
+    family = next(a for a in grow._actions if a.dest == "family")
+    assert list(family.choices) == sorted(FAMILIES)

@@ -212,9 +212,17 @@ def test_pattern_parse_errors():
         enumerate_class("nonsense", None, 3)
 
 
+def test_perm_classical_is_not_a_class_kind():
+    from powcat.errors import ParseError
+
+    for call in (enumerate_class, count_class):
+        with pytest.raises(ParseError):
+            call("perm-classical", VincularPattern.parse("1-2-3"), 3)
+
+
 def test_limit_errors():
     with pytest.raises(LimitError):
-        enumerate_class("perm-classical", VincularPattern.parse("12"), EXHAUSTIVE_LIMITS["perm"] + 1)
+        enumerate_class("perm-vincular", VincularPattern.parse("12"), EXHAUSTIVE_LIMITS["perm"] + 1)
     with pytest.raises(LimitError):
         enumerate_class("path-kind", "steady", 9)
     assert count_class("path-kind", "dyck", 9, limit=9) == 4862
@@ -329,14 +337,14 @@ def test_ascent_criterion_matches_1_23_4():
 def test_equinumerosity_examples():
     rows = equinumerosity_check(
         ("invseq-triple", RelationTriple("eq", "dash", "dash")),
-        ("perm-classical", tuple(VincularPattern.parse(p) for p in ("1-2-3", "1-3-2", "2-3-1"))),
+        ("perm-vincular", tuple(VincularPattern.parse(p) for p in ("1-2-3", "1-3-2", "2-3-1"))),
         7,
     )
     assert all(equal for _, _, _, equal in rows)
 
     rows = equinumerosity_check(
         ("invseq-triple", RelationTriple("lt", "neq", "dash")),
-        ("perm-classical", tuple(VincularPattern.parse(p) for p in ("2-1-3", "3-2-1"))),
+        ("perm-vincular", tuple(VincularPattern.parse(p) for p in ("2-1-3", "3-2-1"))),
         7,
     )
     assert all(equal for _, _, _, equal in rows)
