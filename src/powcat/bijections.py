@@ -18,6 +18,7 @@ from .objects import (
     path_from_up_points,
     path_heights,
     path_valleys,
+    require_valid,
     to_text,
     up_step_points,
     validate,
@@ -34,9 +35,7 @@ PAT_1_34_2 = VincularPattern.parse("1-34-2")
 
 def left_inversion_table(p: Permutation) -> tuple[int, ...]:
     """t_i = number of j > i with p_i > p_j."""
-    report = validate(p)
-    if not report.ok:
-        raise MembershipError(f"{to_text(p)} is not a permutation")
+    require_valid(p, "a permutation")
     v = p.values
     return tuple(sum(1 for j in range(i + 1, len(v)) if v[i] > v[j]) for i in range(len(v)))
 
@@ -90,9 +89,7 @@ def steady_encoding(path: LatticePath) -> tuple[int, ...]:
 
 
 def steady_to_perm(path: LatticePath) -> Permutation:
-    report = validate(make_path(path.steps, kind=PathKind.STEADY))
-    if not report.ok:
-        raise MembershipError(f"{path.steps} is not a steady path")
+    require_valid(make_path(path.steps, kind=PathKind.STEADY), "a steady path")
     p = left_inversion_table_inverse(steady_encoding(path))
     if not avoids_vincular(p, PAT_1_34_2):
         raise AssertionError(f"image {to_text(p)} escaped AV(1-34-2)")
@@ -175,9 +172,7 @@ def phi(path: LatticePath) -> LatticePath:
     factor (and, when the in-between block is empty, the W's matching D) is
     dissolved and the valley reappears one level up with mark h + 1.
     """
-    report = validate(path if path.kind is PathKind.VMSTEADY else make_path(path.steps, path.marks, PathKind.VMSTEADY))
-    if not report.ok:
-        raise MembershipError(f"{to_text(path)} is not a valley-marked steady path")
+    require_valid(_as_vmsteady(path), "a valley-marked steady path")
     steps = path.steps
     if "W" not in steps:
         raise MembershipError("phi needs at least one W step")
@@ -226,9 +221,7 @@ def theta(path: LatticePath) -> LatticePath:
     Inverse of phi: the chosen valley at height k with mark h is re-rooted
     inside a fresh D-U-W factor at height k - 1 with mark h - 1.
     """
-    report = validate(path if path.kind is PathKind.VMSTEADY else make_path(path.steps, path.marks, PathKind.VMSTEADY))
-    if not report.ok:
-        raise MembershipError(f"{to_text(path)} is not a valley-marked steady path")
+    require_valid(_as_vmsteady(path), "a valley-marked steady path")
     steps, marks = path.steps, path.marks
     if sum(marks) == 0:
         raise MembershipError("theta needs a nontrivial mark")
@@ -273,7 +266,7 @@ def theta(path: LatticePath) -> LatticePath:
 
 
 def _as_vmsteady(path: LatticePath) -> LatticePath:
-    return LatticePath(path.steps, path.marks, PathKind.VMSTEADY)
+    return path if path.kind is PathKind.VMSTEADY else LatticePath(path.steps, path.marks, PathKind.VMSTEADY)
 
 
 def phi_star(path: LatticePath) -> LatticePath:

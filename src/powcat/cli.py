@@ -2,8 +2,10 @@
 
 Subcommands: count, levels, triangle, grow, map, verify, conjecture, series.
 Machine formats via --format json|csv (text is the default); stdout carries
-only payload, progress and usage errors go to stderr.  Exit codes: 0 on
-success, 1 on verification failure, 2 on usage errors.
+only payload, progress and errors go to stderr.  Exit codes: 0 success, 1 a
+failed verify check (or nonzero residual), 2 invalid input (usage, text,
+membership, or a size outside errors.SIZE_LIMITS; rejected before computing),
+3 an internal error (ArithmeticError or AssertionError); 2 and 3 print nothing.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import sys
 from contextlib import redirect_stdout
 
 from . import bijections, growth, series, verify
-from .errors import LimitError, MembershipError, ParseError
 from .gentree import RULES, level_counts
 from .objects import PathKind, parse_object, to_text
 from .patterns import (
@@ -247,18 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> tuple[int, str]:
     """Run one CLI invocation, capturing stdout; returns (exit code, stdout)."""
-    parser = build_parser()
-    buf = io.StringIO()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return (exc.code if isinstance(exc.code, int) else 2), buf.getvalue()
+        return (exc.code if isinstance(exc.code, int) else 2), ""
+    buf = io.StringIO()
     try:
         with redirect_stdout(buf):
             code = args.fn(args)
-    except (ParseError, LimitError, MembershipError, ValueError) as err:
+    except ValueError as err:  # ParseError, LimitError and MembershipError among them
         print(f"error: {err}", file=sys.stderr)
-        return 2, buf.getvalue()
+        return 2, ""
+    except (ArithmeticError, AssertionError) as err:
+        print(f"internal error: {str(err) or type(err).__name__}", file=sys.stderr)
+        return 3, ""
     return code, buf.getvalue()
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one table of the sizes
+a caller may request."""
 
 
 class ParseError(ValueError):
@@ -12,8 +13,29 @@ class ParseError(ValueError):
 
 
 class LimitError(ValueError):
-    """Requested size exceeds the configured exhaustive-enumeration limit."""
+    """A requested size lies outside its range in SIZE_LIMITS."""
 
 
 class MembershipError(ValueError):
     """Input object is not a member of the family an operation requires."""
+
+
+# (lowest, highest) of every size a public entry point takes; each highest is
+# at least the largest size a test, verify check or benchmark uses.  e3 and
+# triangle count from 0, reference sequences (catalan .. semibaxter, 13
+# bundled terms) from 1; the residual reads the i-geq3 rule to depth order.
+SIZE_LIMITS = {
+    "perm": (1, 10), "invseq": (1, 10), "path": (1, 8), "tree": (1, 8),
+    "depth": (1, 120), "e3": (0, 8000), "triangle": (0, 300),
+    "catalan": (1, 1000), "a108307": (1, 1000), "pcat": (1, 300), "baxter": (1, 13), "semibaxter": (1, 13),
+    "kernel": (1, 40), "residual": (1, 120), "jobs": (1, 1024),
+}
+
+
+def check_size(name: str, n: int, highest: int | None = None) -> None:
+    """Raise LimitError unless n lies in the named size's range; highest, when
+    given, replaces the table's (the limit= argument of the class functions)."""
+    lowest, top = SIZE_LIMITS[name]
+    top = top if highest is None else highest
+    if not lowest <= n <= top:
+        raise LimitError(f"{name} size {n} is outside {lowest}..{top}")

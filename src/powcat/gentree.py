@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import check_size
+
 Label = tuple[int, ...]
 
 
@@ -127,8 +129,7 @@ def expand_label(rule, label: Label) -> tuple[Label, ...]:
 def label_distribution(rule, depth: int) -> list[dict[Label, int]]:
     """Label -> node count for levels 1..depth, by DP on distinct labels."""
     rule = get_rule(rule)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    check_size("depth", depth)
     levels = [{rule.axiom: 1}]
     for _ in range(depth - 1):
         nxt: dict[Label, int] = {}

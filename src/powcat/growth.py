@@ -27,6 +27,7 @@ from .objects import (
     make_path,
     path_from_up_points,
     to_text,
+    require_valid,
     up_step_points,
     validate,
 )
@@ -50,16 +51,9 @@ def _invseq_class(family: str):
 P1234_CLASS = ("perm-vincular", P1234)
 
 
-def _require_valid(obj, what: str):
-    """Raise MembershipError unless obj satisfies its kind's invariants."""
-    report = validate(obj)
-    if not report.ok:
-        raise MembershipError(f"{to_text(obj)} is not {what}: {report.violations[0].detail}")
-
-
 def _require_member(obj, cls, what: str):
     """Raise MembershipError unless obj is a valid member of the class cls."""
-    _require_valid(obj, what)
+    require_valid(obj, what)
     if not in_class(*cls, obj):
         raise MembershipError(f"{to_text(obj)} is not {what}")
 
@@ -255,7 +249,7 @@ def steady_label(path: LatticePath) -> Label:
 
 def steady_children(path: LatticePath):
     """Children by a new rightmost up step at each admissible height."""
-    _require_valid(make_path(path.steps, kind=PathKind.STEADY), "a steady path")
+    require_valid(make_path(path.steps, kind=PathKind.STEADY), "a steady path")
     n = path.size
     pts = up_step_points(path.steps)
     t_half = edge_line_offset(path.steps) // 2
@@ -324,7 +318,7 @@ def vmdyck_children(path: LatticePath):
     """Children by a new rightmost peak in the last descent; a freshly made
     valley takes every admissible mark."""
     vm = path if path.kind is PathKind.VMDYCK else make_path(path.steps, path.marks, PathKind.VMDYCK)
-    _require_valid(vm, "a valley-marked Dyck path")
+    require_valid(vm, "a valley-marked Dyck path")
     steps, marks = path.steps, path.marks
     r = last_descent_length(steps)
     head = steps[: len(steps) - r]
@@ -351,7 +345,7 @@ def tree_children(t: OrderedTree):
     """Children by relabel-and-insert: bump every positive label, then hang a
     new vertex 1 under the root over a contiguous bunch of root edges; the
     empty bunch goes in the leftmost gap so leaf 1 stays first in pre-order."""
-    _require_valid(t, "an increasing-leaves tree")
+    require_valid(t, "an increasing-leaves tree")
 
     def bump(node):
         return OrderedTree(node.label + 1 if node.label > 0 else 0, tuple(bump(c) for c in node.children))

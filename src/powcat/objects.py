@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ParseError
+from .errors import MembershipError, ParseError
 
 STEP_VECTORS = {"U": (1, 1), "D": (1, -1), "W": (-1, 1)}
 
@@ -473,6 +473,13 @@ def validate(obj) -> ValidationReport:
     else:
         raise TypeError(f"cannot validate {type(obj).__name__}")
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def require_valid(obj, what: str) -> None:
+    """Raise MembershipError naming the first violation unless obj is valid."""
+    report = validate(obj)
+    if not report.ok:
+        raise MembershipError(f"{to_text(obj)} is not {what}: {report.violations[0].detail}")
 
 
 # -- text formats --------------------------------------------------------------

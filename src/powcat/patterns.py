@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 
-from .errors import LimitError, ParseError
+from .errors import ParseError, check_size
 from .objects import (
     InversionSequence,
     LatticePath,
@@ -53,9 +53,6 @@ RELATIONS = {
     "neq": lambda a, b: a != b,
     "dash": lambda a, b: True,
 }
-
-EXHAUSTIVE_LIMITS = {"perm": 10, "invseq": 10, "path": 8, "tree": 8}
-
 
 @dataclass(frozen=True)
 class RelationTriple:
@@ -224,42 +221,31 @@ def avoids_vincular(p, pattern: VincularPattern) -> bool:
     return not _contains_vincular(v, pattern, 0, [])
 
 
+def _strict_minima(seq) -> int:
+    """Number of entries strictly below every earlier entry."""
+    count, lo = 0, None
+    for x in seq:
+        if lo is None or x < lo:
+            count += 1
+            lo = x
+    return count
+
+
 def perm_statistics(p) -> dict[str, int]:
     """Counts of LTR/RTL minima and maxima, all strict."""
     v = p.values if isinstance(p, Permutation) else tuple(p)
-    ltr_min = ltr_max = rtl_min = rtl_max = 0
-    lo, hi = None, None
-    for x in v:
-        if lo is None or x < lo:
-            ltr_min += 1
-            lo = x
-        if hi is None or x > hi:
-            ltr_max += 1
-            hi = x
-    lo, hi = None, None
-    for x in reversed(v):
-        if lo is None or x < lo:
-            rtl_min += 1
-            lo = x
-        if hi is None or x > hi:
-            rtl_max += 1
-            hi = x
+    negated = tuple(-x for x in v)  # maxima of v are the minima of -v
     return {
-        "ltr_minima": ltr_min,
-        "ltr_maxima": ltr_max,
-        "rtl_minima": rtl_min,
-        "rtl_maxima": rtl_max,
+        "ltr_minima": _strict_minima(v),
+        "ltr_maxima": _strict_minima(negated),
+        "rtl_minima": _strict_minima(reversed(v)),
+        "rtl_maxima": _strict_minima(reversed(negated)),
     }
 
 
 def rtl_minima_count(values) -> int:
-    n = 0
-    lo = None
-    for x in reversed(tuple(values)):
-        if lo is None or x < lo:
-            n += 1
-            lo = x
-    return n
+    """Number of strict right-to-left minima."""
+    return _strict_minima(reversed(tuple(values)))
 
 
 # -- characterization criteria --------------------------------------------------
@@ -308,42 +294,48 @@ def ltr_max_flags(v):
 
 def baxter_inversion_criterion(values) -> bool:
     """Every inversion (e_i > e_j, i < j) has a LTR-maximum top and a
-    RTL-minimum bottom."""
-    v = tuple(values)
-    n = len(v)
-    ltr = ltr_max_flags(v)
-    rtl = [all(v[j] > v[i] for j in range(i + 1, n)) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i] > v[j] and not (ltr[i] and rtl[j]):
-                return False
+    RTL-minimum bottom: nothing after a non-LTR-maximum is smaller than it,
+    and nothing after an inversion bottom is at or below it.  One pass;
+    entries are non-negative, so -1 stands for none yet."""
+    hi = top = bottom = -1  # running max; greatest non-LTR-max; greatest inversion bottom
+    for x in values:
+        if x < top or x <= bottom:
+            return False
+        if x > hi:
+            hi = x
+        else:
+            top = max(top, x)
+            if x < hi:
+                bottom = max(bottom, x)
     return True
 
 
 def semibaxter_inversion_criterion(values) -> bool:
-    """Every inversion has a LTR-maximum top."""
-    v = tuple(values)
-    ltr = ltr_max_flags(v)
-    for i in range(len(v)):
-        if not ltr[i] and any(v[j] < v[i] for j in range(i + 1, len(v))):
+    """Every inversion has a LTR-maximum top: no entry lies below an
+    earlier entry that is not a LTR maximum."""
+    hi = top = -1  # running max; greatest non-LTR-max
+    for x in values:
+        if x < top:
             return False
+        if x > hi:
+            hi = x
+        else:
+            top = max(top, x)
     return True
 
 
 def ascent_min_max_criterion(values) -> bool:
-    """Every ascent starts at a LTR minimum or ends at a RTL maximum."""
-    v = tuple(values)
-    n = len(v)
-    lo = None
-    ltr_min = []
-    for x in v:
-        ltr_min.append(lo is None or x < lo)
-        if lo is None or x < lo:
-            lo = x
-    rtl_max = [all(v[j] < v[i] for j in range(i + 1, n)) for i in range(n)]
-    for i in range(n - 1):
-        if v[i] < v[i + 1] and not (ltr_min[i] or rtl_max[i + 1]):
+    """Every ascent starts at a LTR minimum or ends at a RTL maximum: no
+    entry lies above the top of an earlier ascent whose bottom is not a
+    LTR minimum."""
+    lo = prev = low_top = float("inf")  # running min; previous entry; least top of such an ascent
+    prev_is_min = True
+    for x in values:
+        if x > low_top:
             return False
+        if prev < x and not prev_is_min:
+            low_top = min(low_top, x)
+        prev, prev_is_min, lo = x, x < lo, min(lo, x)
     return True
 
 
@@ -420,14 +412,6 @@ def _vincular_hit_at_end(values, pat: VincularPattern) -> bool:
 
 
 # -- enumerators ----------------------------------------------------------------
-
-
-def _check_limit(group: str, n: int, limit=None):
-    cap = limit if limit is not None else EXHAUSTIVE_LIMITS[group]
-    if n > cap:
-        raise LimitError(f"size {n} exceeds the exhaustive limit {cap} for {group}")
-    if n < 1:
-        raise LimitError("size must be at least 1")
 
 
 @lru_cache(maxsize=None)
@@ -684,26 +668,26 @@ def _as_is(obj):
 
 def _class_raw(kind: str, spec, n: int, limit=None):
     """(cached raw members, constructor of one object from a raw member) of
-    the size-n class; LimitError above the exhaustive cap, ParseError for an
-    unknown kind."""
+    the size-n class; LimitError outside the kind's range in SIZE_LIMITS (limit,
+    when given, replaces its highest), ParseError for an unknown kind."""
     if kind == "invseq-triple":
-        _check_limit("invseq", n, limit)
+        check_size("invseq", n, limit)
         return invseq_class_raw(_as_pattern_key(spec), (), n), InversionSequence
     if kind == "invseq-words":
-        _check_limit("invseq", n, limit)
+        check_size("invseq", n, limit)
         return invseq_class_raw((), _as_pattern_key(spec), n), InversionSequence
     if kind == "perm-vincular":
-        _check_limit("perm", n, limit)
+        check_size("perm", n, limit)
         return perm_class_raw(_as_pattern_key(spec), n), Permutation
     if kind == "path-kind":
-        _check_limit("path", n, limit)
+        check_size("path", n, limit)
         k = PathKind(spec)
         if k.marked:
             raw = vmdyck_paths_raw(n) if k is PathKind.VMDYCK else vmsteady_paths_raw(n)
             return raw, lambda steps_marks: LatticePath(*steps_marks, k)
         return (dyck_words(n) if k is PathKind.DYCK else steady_words(n)), partial(make_path, kind=k)
     if kind == "tree":
-        _check_limit("tree", n, limit)
+        check_size("tree", n, limit)
         return increasing_leaf_trees(n), _as_is
     raise ParseError(f"unknown class kind {kind!r}")
 
@@ -713,7 +697,7 @@ def enumerate_class(kind: str, spec, n: int, limit=None):
 
     kind is one of invseq-triple, invseq-words, perm-vincular, path-kind,
     tree; spec carries the patterns (or the PathKind).  Raises LimitError
-    above the exhaustive cap.
+    outside the kind's size range.
     """
     raw, make = _class_raw(kind, spec, n, limit)
     return sorted(map(make, raw), key=to_text)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from .errors import check_size
 from .gentree import label_distribution
 
 # bundled prefixes for the two sequences whose general terms this package
@@ -46,8 +47,7 @@ def e3_sequence(n_max: int) -> list[int]:
     """Terms E3(0..n_max) of A108307 via the second-order recurrence
     8(n+3)(n+1)E(n) + (7n^2+53n+88)E(n+1) = (n+8)(n+7)E(n+2); every forward
     step must divide exactly."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    check_size("e3", n_max)
     seq = [1, 1]
     for n in range(0, n_max - 1):
         num = 8 * (n + 3) * (n + 1) * seq[n] + (7 * n * n + 53 * n + 88) * seq[n + 1]
@@ -62,6 +62,7 @@ def e3_sequence(n_max: int) -> list[int]:
 def callan_triangle(n_max: int) -> CountTriangle:
     """Triangle c[n][k]: c[0][0]=1, c[n][0]=0, and
     c[n][k] = c[n-1][k-1] + k * sum_{j>=k} c[n-1][j]."""
+    check_size("triangle", n_max)
     rows = [(1,)]
     for n in range(1, n_max + 1):
         prev = rows[-1] + (0,)  # c[n-1][n] = 0
@@ -86,20 +87,18 @@ def reference_sequence(name: str, n_max: int) -> list[int]:
     """Reference terms for sizes 1..n_max.
 
     catalan and a108307 and pcat are computed (closed form / recurrences);
-    baxter and semibaxter are bundled prefixes and error out beyond them.
+    baxter and semibaxter are bundled prefixes.  KeyError for an unknown name.
     """
+    if name not in ("catalan", "a108307", "pcat", "baxter", "semibaxter"):
+        raise KeyError(f"unknown sequence {name!r}")
+    check_size(name, n_max)
     if name == "catalan":
         return [catalan_number(n) for n in range(1, n_max + 1)]
     if name == "a108307":
         return e3_sequence(n_max)[1:]
     if name == "pcat":
         return list(callan_triangle(n_max).row_sums()[1:])
-    if name in ("baxter", "semibaxter"):
-        prefix = BAXTER_PREFIX if name == "baxter" else SEMIBAXTER_PREFIX
-        if n_max > len(prefix):
-            raise ValueError(f"{name} terms are bundled only up to size {len(prefix)}")
-        return list(prefix[:n_max])
-    raise KeyError(f"unknown sequence {name!r}")
+    return list((BAXTER_PREFIX if name == "baxter" else SEMIBAXTER_PREFIX)[:n_max])
 
 
 # -- kernel-method series ----------------------------------------------------------
@@ -150,8 +149,7 @@ def kernel_w(order: int) -> list:
     The defining equation is checked again by a truncated series product
     before returning; ArithmeticError when its residual is nonzero.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    check_size("kernel", order)
     f1, f2 = [(0, [1, 1])], [(1, [1, 1])]
     for n in range(1, order + 1):
         total = _ZERO
@@ -209,35 +207,27 @@ def kernel_a11(order: int) -> list[int]:
 # Bivariate polynomials in (y, z) are dicts (h, k) -> int; one per x-level.
 
 
-def _biv_sub(p, q):
-    out = dict(p)
-    for key, v in q.items():
-        out[key] = out.get(key, 0) - v
+def _biv_add(out, terms):
+    """Add (key, coefficient) terms into out, dropping zero coefficients."""
+    for key, v in terms:
+        out[key] = out.get(key, 0) + v
         if out[key] == 0:
             del out[key]
     return out
+
+
+def _biv_sub(p, q):
+    return _biv_add(dict(p), ((key, -v) for key, v in q.items()))
 
 
 def _biv_at_y1(p):
     """Substitute y = 1."""
-    out: dict[tuple[int, int], int] = {}
-    for (h, k), v in p.items():
-        key = (0, k)
-        out[key] = out.get(key, 0) + v
-        if out[key] == 0:
-            del out[key]
-    return out
+    return _biv_add({}, (((0, k), v) for (h, k), v in p.items()))
 
 
 def _biv_at_z_eq_y(p):
     """Substitute z = y."""
-    out: dict[tuple[int, int], int] = {}
-    for (h, k), v in p.items():
-        key = (h + k, 0)
-        out[key] = out.get(key, 0) + v
-        if out[key] == 0:
-            del out[key]
-    return out
+    return _biv_add({}, (((h + k, 0), v) for (h, k), v in p.items()))
 
 
 def _div_by_one_minus_y(p):
@@ -307,8 +297,7 @@ def functional_equation_residual(order: int):
     when the equation holds.  Both divided differences are performed as
     exact polynomial quotients, whose remainders are asserted to vanish.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    check_size("residual", order)
     levels = _rule_levels(order)
     a_levels = [dict(lvl) for lvl in levels]  # a_levels[m] is the x^(m+1) slice
     residuals = []
@@ -319,10 +308,8 @@ def functional_equation_residual(order: int):
             prev = a_levels[n - 2]
             q1 = _div_by_one_minus_y(_biv_sub(_biv_at_y1(prev), prev))
             q2 = _div_by_z_minus_y(_biv_sub(prev, _biv_at_z_eq_y(prev)))
-            for key, v in _biv_shift(q1, 0, 1).items():  # * z
-                rhs[key] = rhs.get(key, 0) + v
-            for key, v in _biv_shift(q2, 1, 1).items():  # * y * z
-                rhs[key] = rhs.get(key, 0) + v
+            _biv_add(rhs, _biv_shift(q1, 0, 1).items())  # * z
+            _biv_add(rhs, _biv_shift(q2, 1, 1).items())  # * y * z
         residuals.append(_biv_sub(lhs, rhs))
     return residuals
 

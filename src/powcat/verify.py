@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import bijections, growth, patterns, series
+from .errors import check_size
 from .gentree import label_distribution, level_counts, p1234_to_steady_relabel, rules_isomorphic_check
 from .objects import PathKind, last_descent_length, make_path, path_statistics, to_text
 from .patterns import (
@@ -438,9 +439,9 @@ def conjecture_23_1_4_report(n_max: int = 9):
 
     This is conjecture evidence, not a theorem: rows are reported with their
     agreement status and the harness never raises on a mismatch.  n_max is
-    held to the exhaustive limit for permutations (LimitError outside it).
+    held to the size range of permutations (LimitError outside it).
     """
-    patterns._check_limit("perm", n_max)
+    check_size("perm", n_max)
     pat = VincularPattern.parse("23-1-4")
     tri = series.callan_triangle(n_max)
     rows = []
@@ -523,9 +524,9 @@ def run_suite(suite: str, jobs: int = 1, progress=None):
     """Run one suite; results come back in declaration order regardless of
     how the checks were scheduled.  progress, when given, is called with
     each CheckResult as it becomes available (in declaration order).  jobs
-    must be at least 1; more workers than checks or CPUs are not started."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    lies in its SIZE_LIMITS range; more workers than checks or CPUs are not
+    started."""
+    check_size("jobs", jobs)
     fns = SUITES[suite]
     results = []
 

@@ -1,7 +1,11 @@
 """The command-line surface: payloads, formats, exit codes."""
 import json
+import time
+
+import pytest
 
 from powcat.cli import export_table, run_command
+from powcat.errors import SIZE_LIMITS
 
 
 def run(argv):
@@ -187,6 +191,49 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run(["count", "--family", "geq,dash,geq", "--n", "99"])
     assert code == 2  # beyond the exhaustive limit
+
+
+def test_negative_sizes_exit_2_instead_of_printing_nothing():
+    for argv in (["series", "catalan", "--n", "-3"], ["series", "pcat", "--n", "-1"], ["triangle", "--n", "-1"]):
+        assert run(argv) == (2, ""), argv
+
+
+# (argv without the size, the size's name in SIZE_LIMITS) for every bounded argument
+BOUNDED_ARGUMENTS = [
+    (["count", "--family", "geq,dash,geq", "--n"], "invseq"),
+    (["count", "--family", "perm:1-23-4", "--n"], "perm"),
+    (["count", "--family", "path:steady", "--n"], "path"),
+    (["count", "--family", "tree", "--n"], "tree"),
+    (["levels", "--rule", "cat", "--depth"], "depth"),
+    (["triangle", "--n"], "triangle"),
+    (["series", "triangle", "--n"], "triangle"),
+    *[(["series", name, "--n"], name) for name in ("catalan", "a108307", "pcat", "baxter", "semibaxter")],
+    (["series", "kernel-a11", "--n"], "kernel"),
+    (["series", "residual", "--n"], "residual"),
+    (["conjecture", "--n"], "perm"),
+    (["verify", "series", "--jobs"], "jobs"),
+]
+
+
+@pytest.mark.parametrize("argv,name", BOUNDED_ARGUMENTS, ids=[f"{a[0]}-{name}" for a, name in BOUNDED_ARGUMENTS])
+def test_one_step_outside_every_bound_exits_2_at_once(argv, name):
+    lowest, highest = SIZE_LIMITS[name]
+    for n in (lowest - 1, highest + 1):
+        t0 = time.perf_counter()
+        assert run([*argv, str(n)]) == (2, ""), n
+        assert time.perf_counter() - t0 < 1.0, n
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, AssertionError])
+def test_internal_errors_exit_3_with_one_line(monkeypatch, capsys, error):
+    import powcat.series as series_mod
+
+    def broken_kernel(order):
+        raise error("kernel series fails to satisfy the kernel equation")
+
+    monkeypatch.setattr(series_mod, "kernel_w", broken_kernel)
+    assert run(["series", "kernel-a11", "--n", "5"]) == (3, "")
+    assert capsys.readouterr().err == "internal error: kernel series fails to satisfy the kernel equation\n"
 
 
 def test_verify_failure_exits_1(monkeypatch):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from powcat.errors import LimitError
+from powcat.errors import SIZE_LIMITS, LimitError
 from powcat.objects import (
     InversionSequence,
     PathKind,
@@ -15,7 +15,6 @@ from powcat.objects import (
     validate,
 )
 from powcat.patterns import (
-    EXHAUSTIVE_LIMITS,
     RelationTriple,
     VincularPattern,
     WordPattern,
@@ -222,7 +221,7 @@ def test_perm_classical_is_not_a_class_kind():
 
 def test_limit_errors():
     with pytest.raises(LimitError):
-        enumerate_class("perm-vincular", VincularPattern.parse("12"), EXHAUSTIVE_LIMITS["perm"] + 1)
+        enumerate_class("perm-vincular", VincularPattern.parse("12"), SIZE_LIMITS["perm"][1] + 1)
     with pytest.raises(LimitError):
         enumerate_class("path-kind", "steady", 9)
     assert count_class("path-kind", "dyck", 9, limit=9) == 4862
@@ -291,6 +290,21 @@ def test_perm_statistics_examples():
         ident = Permutation(tuple(range(1, n + 1)))
         assert perm_statistics(ident)["rtl_minima"] == n
         assert perm_statistics(ident)["ltr_maxima"] == n
+
+
+def test_perm_statistics_match_their_definitions():
+    from powcat.patterns import rtl_minima_count
+
+    for n in range(1, 7):
+        for v in iperm(range(1, n + 1)):
+            want = {
+                "ltr_minima": sum(all(v[j] > v[i] for j in range(i)) for i in range(n)),
+                "ltr_maxima": sum(all(v[j] < v[i] for j in range(i)) for i in range(n)),
+                "rtl_minima": sum(all(v[j] > v[i] for j in range(i + 1, n)) for i in range(n)),
+                "rtl_maxima": sum(all(v[j] < v[i] for j in range(i + 1, n)) for i in range(n)),
+            }
+            assert perm_statistics(Permutation(v)) == want, v
+            assert rtl_minima_count(v) == want["rtl_minima"], v
 
 
 # -- characterization equivalences ----------------------------------------------------------
