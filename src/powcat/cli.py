@@ -16,8 +16,9 @@ import sys
 from contextlib import redirect_stdout
 
 from . import bijections, growth, series, verify
+from .errors import check_size
 from .gentree import RULES, level_counts
-from .objects import PathKind, parse_object, to_text
+from .objects import PathKind, parse_object, text_size, to_text
 from .patterns import (
     RelationTriple,
     VincularPattern,
@@ -41,6 +42,14 @@ def _parse_family(text: str):
     if text == "tree":
         return ("tree", None)
     return ("invseq-triple", RelationTriple.parse(text))
+
+
+def _parse_input(text: str, kind: str):
+    """parse_object behind the size bound of the object kind, checked on the
+    text before anything is parsed."""
+    name = {"invseq": "invseq-input", "invtable": "invseq-input", "perm": "perm-input", "tree": "tree-input"}
+    check_size(name.get(kind, "path-input"), text_size(text, kind))
+    return parse_object(text, kind)
 
 
 def export_table(rows, fmt: str, path=None) -> str:
@@ -98,7 +107,7 @@ def _cmd_triangle(args):
 
 def _cmd_grow(args):
     fam = growth.FAMILIES[args.family]
-    obj = parse_object(args.input, fam.kind)
+    obj = _parse_input(args.input, fam.kind)
     children = fam.children(obj)
     payload = [{"object": to_text(c), "label": list(lab)} for c, lab in children]
     if args.format == "text":
@@ -115,7 +124,7 @@ def _cmd_grow(args):
 
 def _cmd_map(args):
     fn = bijections.MAPS[args.name]
-    obj = parse_object(args.input, bijections.MAP_INPUT_KINDS[args.name])
+    obj = _parse_input(args.input, bijections.MAP_INPUT_KINDS[args.name])
     result = fn(obj)
     _emit(args, to_text(result), to_text(result))
     return 0

@@ -22,13 +22,17 @@ class MembershipError(ValueError):
 
 # (lowest, highest) of every size a public entry point takes; each highest is
 # at least the largest size a test, verify check or benchmark uses.  e3 and
-# triangle count from 0, reference sequences (catalan .. semibaxter, 13
-# bundled terms) from 1; the residual reads the i-geq3 rule to depth order.
+# triangle count from 0, reference sequences (catalan .. semibaxter) from 1;
+# baxter and semibaxter reach the depth bound, against which the bax and semi
+# rules are checked, and the residual reads the i-geq3 rule to depth order.
+# The *-input sizes bound the objects grow --input and map --input take
+# (objects.text_size; inversion tables count as inversion sequences).
 SIZE_LIMITS = {
     "perm": (1, 10), "invseq": (1, 10), "path": (1, 8), "tree": (1, 8),
     "depth": (1, 120), "e3": (0, 8000), "triangle": (0, 300),
-    "catalan": (1, 1000), "a108307": (1, 1000), "pcat": (1, 300), "baxter": (1, 13), "semibaxter": (1, 13),
+    "catalan": (1, 1000), "a108307": (1, 1000), "pcat": (1, 300), "baxter": (1, 300), "semibaxter": (1, 1000),
     "kernel": (1, 40), "residual": (1, 120), "jobs": (1, 1024),
+    "invseq-input": (0, 100), "perm-input": (0, 100), "path-input": (0, 100), "tree-input": (0, 100),
 }
 
 

@@ -12,6 +12,7 @@ the DU corner; marks are stored one per valley, left to right.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -352,6 +353,24 @@ def _s1_s2_violations(steps: str, pts) -> list[Violation]:
     return out
 
 
+def nonzero_mark_blockers(steps: str, valleys) -> list[tuple[str, int] | None]:
+    """For each valley of path_valleys(steps), None when a valley-marked
+    steady path may give it a nonzero mark, else (rule, index) of the first
+    W step that forbids it: M2 when the valley lies above that W step's
+    start, M3 when it sits at the same height to its left."""
+    heights = path_heights(steps)
+    w_steps = [(i, heights[i]) for i, s in enumerate(steps) if s == "W"]
+    out = []
+    for u_idx, h in valleys:
+        blocker = None
+        for w_idx, wh in w_steps:
+            if h > wh or (h == wh and u_idx < w_idx):
+                blocker = ("M2" if h > wh else "M3", w_idx)
+                break
+        out.append(blocker)
+    return out
+
+
 def _validate_path(path: LatticePath) -> list[Violation]:
     steps, marks, kind = path.steps, path.marks, path.kind
     out = []
@@ -395,31 +414,21 @@ def _validate_path(path: LatticePath) -> list[Violation]:
                     Violation("M1", vi, f"valley {vi} at height {h} has mark {m} outside 0..{h}")
                 )
         if kind is PathKind.VMSTEADY:
-            w_steps = [(i, pts[i][1]) for i, s in enumerate(steps) if s == "W"]
-            for vi, ((u_idx, h), m) in enumerate(zip(vals, marks), start=1):
-                if m == 0:
+            for vi, ((_, h), m, blocker) in enumerate(zip(vals, marks, nonzero_mark_blockers(steps, vals)), start=1):
+                if m == 0 or blocker is None:
                     continue
-                for w_idx, wh in w_steps:
-                    if h > wh:
-                        out.append(
-                            Violation(
-                                "M2",
-                                vi,
-                                f"valley {vi} at height {h} with nontrivial mark lies above "
-                                f"the W step at index {w_idx + 1} (height {wh})",
-                            )
-                        )
-                        break
-                    if h == wh and u_idx < w_idx:
-                        out.append(
-                            Violation(
-                                "M3",
-                                vi,
-                                f"valley {vi} with nontrivial mark at height {h} sits left of "
-                                f"the W step at index {w_idx + 1} at the same height",
-                            )
-                        )
-                        break
+                name, w_idx = blocker
+                if name == "M2":
+                    detail = (
+                        f"valley {vi} at height {h} with nontrivial mark lies above "
+                        f"the W step at index {w_idx + 1} (height {pts[w_idx][1]})"
+                    )
+                else:
+                    detail = (
+                        f"valley {vi} with nontrivial mark at height {h} sits left of "
+                        f"the W step at index {w_idx + 1} at the same height"
+                    )
+                out.append(Violation(name, vi, detail))
     else:
         for vi, m in enumerate(marks, start=1):
             if m != 0:
@@ -560,6 +569,18 @@ def parse_object(text: str, kind: str):
     if kind in ("tree",):
         return parse_tree_text(text)
     return parse_path_text(text, kind)
+
+
+def text_size(text: str, kind: str) -> int:
+    """Size of the object a text of the given kind describes, read off the
+    text without parsing it: the entries of an integer list, the up steps of
+    a path, the labels of a tree less the root.  Equal to the parsed
+    object's size whenever the text parses."""
+    if kind in ("invseq", "invtable", "perm"):
+        return text.count(",") + 1
+    if kind == "tree":
+        return len(re.findall(r"\d+", text)) - 1
+    return text.partition(";")[0].count("U")
 
 
 def to_text(obj) -> str:

@@ -39,9 +39,9 @@ from .objects import (
     PathKind,
     Permutation,
     make_path,
+    nonzero_mark_blockers,
     path_valleys,
     to_text,
-    validate,
 )
 
 RELATIONS = {
@@ -548,13 +548,13 @@ def steady_words(n) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def vmsteady_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Steady words with every mark allowed by nonzero_mark_blockers: a
+    blocked valley keeps mark 0, a free one at height h takes 0..h."""
     out = []
     for w in steady_words(n):
-        heights = [h for _, h in path_valleys(w)]
-        for marks in product(*(range(h + 1) for h in heights)):
-            p = LatticePath(w, marks, PathKind.VMSTEADY)
-            if validate(p).ok:
-                out.append((w, marks))
+        vals = path_valleys(w)
+        ranges = [(0,) if b else range(h + 1) for (_, h), b in zip(vals, nonzero_mark_blockers(w, vals))]
+        out += [(w, marks) for marks in product(*ranges)]
     return tuple(out)
 
 

@@ -16,12 +16,6 @@ from math import comb
 from .errors import check_size
 from .gentree import label_distribution
 
-# bundled prefixes for the two sequences whose general terms this package
-# does not compute (their closed forms live in other work); sizes 1..13
-BAXTER_PREFIX = (1, 2, 6, 22, 92, 422, 2074, 10754, 58202, 326240, 1882960, 11140560, 67329992)
-SEMIBAXTER_PREFIX = (1, 2, 6, 23, 104, 530, 2958, 17734, 112657, 750726, 5207910, 37387881, 276467208)
-
-
 @dataclass(frozen=True)
 class CountTriangle:
     """Integer table c[n][k] for 0 <= k <= n <= n_max."""
@@ -43,6 +37,13 @@ class CountTriangle:
 # -- recurrences -----------------------------------------------------------------
 
 
+def _exact_div(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{what} is not an exact division")
+    return q
+
+
 def e3_sequence(n_max: int) -> list[int]:
     """Terms E3(0..n_max) of A108307 via the second-order recurrence
     8(n+3)(n+1)E(n) + (7n^2+53n+88)E(n+1) = (n+8)(n+7)E(n+2); every forward
@@ -51,11 +52,7 @@ def e3_sequence(n_max: int) -> list[int]:
     seq = [1, 1]
     for n in range(0, n_max - 1):
         num = 8 * (n + 3) * (n + 1) * seq[n] + (7 * n * n + 53 * n + 88) * seq[n + 1]
-        den = (n + 8) * (n + 7)
-        q, r = divmod(num, den)
-        if r:
-            raise ArithmeticError(f"recurrence step n={n} is not an exact division")
-        seq.append(q)
+        seq.append(_exact_div(num, (n + 8) * (n + 7), f"recurrence step n={n}"))
     return seq[: n_max + 1]
 
 
@@ -83,11 +80,30 @@ def powered_catalan_number(n: int) -> int:
     return sum(callan_triangle(n).row(n))
 
 
+def _baxter_number(n: int) -> int:
+    """The Baxter sum (Chung, Graham, Hoggatt and Kleiman):
+    sum_k C(n+1,k-1) C(n+1,k) C(n+1,k+1) / (C(n+1,1) C(n+1,2))."""
+    row = [comb(n + 1, j) for j in range(n + 3)]
+    total = sum(row[k - 1] * row[k] * row[k + 1] for k in range(1, n + 1))
+    return _exact_div(total, row[1] * row[2], f"Baxter sum n={n}")
+
+
+def _semibaxter_sequence(n_max: int) -> list[int]:
+    """Semi-Baxter numbers S(1..n_max) from the recurrence
+    (n+3)(n+4)S(n) = (11n^2+11n-6)S(n-1) + (n-3)(n-2)S(n-2), S(1) = 1 (the
+    S(n-2) term vanishes at n = 2); every step must divide exactly."""
+    seq = [1, 1]  # S(0) only ever meets the zero coefficient at n = 2
+    for n in range(2, n_max + 1):
+        num = (11 * n * n + 11 * n - 6) * seq[n - 1] + (n - 3) * (n - 2) * seq[n - 2]
+        seq.append(_exact_div(num, (n + 3) * (n + 4), f"semi-Baxter recurrence step n={n}"))
+    return seq[1 : n_max + 1]
+
+
 def reference_sequence(name: str, n_max: int) -> list[int]:
     """Reference terms for sizes 1..n_max.
 
-    catalan and a108307 and pcat are computed (closed form / recurrences);
-    baxter and semibaxter are bundled prefixes.  KeyError for an unknown name.
+    catalan and baxter by closed sums, a108307, pcat and semibaxter by
+    recurrences.  KeyError for an unknown name.
     """
     if name not in ("catalan", "a108307", "pcat", "baxter", "semibaxter"):
         raise KeyError(f"unknown sequence {name!r}")
@@ -98,7 +114,9 @@ def reference_sequence(name: str, n_max: int) -> list[int]:
         return e3_sequence(n_max)[1:]
     if name == "pcat":
         return list(callan_triangle(n_max).row_sums()[1:])
-    return list((BAXTER_PREFIX if name == "baxter" else SEMIBAXTER_PREFIX)[:n_max])
+    if name == "baxter":
+        return [_baxter_number(n) for n in range(1, n_max + 1)]
+    return _semibaxter_sequence(n_max)
 
 
 # -- kernel-method series ----------------------------------------------------------

@@ -176,6 +176,31 @@ def test_grown_trees_are_valid_grow_input():
             assert code == 0, text
 
 
+# (argv without the input, the input of size n, the size's name in SIZE_LIMITS)
+BOUNDED_INPUTS = [
+    (["grow", "--family", "cat"], lambda n: ",".join(map(str, range(n))), "invseq-input"),
+    (["map", "--name", "tinv-inv"], lambda n: ",".join("0" * n), "invseq-input"),
+    (["map", "--name", "tinv"], lambda n: ",".join(map(str, range(1, n + 1))), "perm-input"),
+    (["grow", "--family", "pcat:vmdyck"], lambda n: "UD" * n, "path-input"),
+    (["grow", "--family", "pcat:tree"], lambda n: f"0({','.join(map(str, range(1, n + 1)))})", "tree-input"),
+]
+
+
+@pytest.mark.parametrize("argv,text,name", BOUNDED_INPUTS, ids=[f"{a[0]}-{a[2]}" for a, _, _ in BOUNDED_INPUTS])
+def test_input_objects_are_bounded(argv, text, name):
+    highest = SIZE_LIMITS[name][1]
+    code, out = run([*argv, "--input", text(highest)])
+    assert code == 0 and out
+    t0 = time.perf_counter()
+    assert run([*argv, "--input", text(highest + 1)]) == (2, "")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_deep_tree_input_is_rejected_before_parsing():
+    deep = "0" + "".join(f"({i}" for i in range(1, 2000)) + ")" * 1999
+    assert run(["grow", "--family", "pcat:tree", "--input", deep]) == (2, "")
+
+
 def test_conjecture_size_is_bounded():
     for n in ("0", "11"):
         code, out = run(["conjecture", "--n", n])

@@ -1,15 +1,107 @@
 """The rule catalog: productions, level counts, distributions, isomorphism."""
 import pytest
 
+from powcat.errors import SIZE_LIMITS
 from powcat.gentree import (
     RULES,
+    UP,
+    Run,
+    SuccessionRule,
     expand_label,
     label_distribution,
     level_counts,
     p1234_to_steady_relabel,
     rules_isomorphic_check,
 )
-from powcat.series import callan_triangle
+from powcat.series import callan_triangle, catalan_number, e3_sequence, reference_sequence
+
+# -- the reference: every production listed child by child, and the per-child DP
+
+
+def _cat(k):
+    return [(j,) for j in range(1, k + 2)]
+
+
+def _cat2(h, k):
+    return [(0, k + 1)] * h + [(h + d, k - d + 1) for d in range(1, k + 1)]
+
+
+def _igeq3(h, k):
+    return [(h - d, k + 1) for d in range(1, h + 1)] + [(h + d, k - d + 1) for d in range(1, k + 1)]
+
+
+def _bax(h, k):
+    return [(h - d, k + 1) for d in range(1, h)] + [(1, k + 1)] + [(h + d, k - d + 1) for d in range(1, k + 1)]
+
+
+def _semi(h, k):
+    return [(h - d, k + 1) for d in range(h)] + [(h + d, k - d + 1) for d in range(1, k + 1)]
+
+
+def _pcat(k):
+    return [(j,) for j in range(1, k + 1) for _ in range(j)] + [(k + 1,)]
+
+
+def _p1234(h, k):
+    if h == 1:
+        return [(a, k + 2 - a) for a in range(1, k + 2)]
+    return [(a, h + k + 1 - a) for a in range(1, h + 1)] + [(h + d, 0) for d in range(1, k + 1)]
+
+
+def _steady(h, k):
+    return [(h + k - 1 - i, i + 2) for i in range(k - 1)] + [(0, k + 1 + d) for d in range(h + 1)]
+
+
+PRODUCTIONS = {"cat": _cat, "cat2": _cat2, "i-geq3": _igeq3, "bax": _bax, "semi": _semi,
+               "pcat": _pcat, "p1234": _p1234, "steady": _steady}
+
+
+def _per_child_distribution(rule, depth):
+    levels = [{RULES[rule].axiom: 1}]
+    for _ in range(depth - 1):
+        nxt = {}
+        for lab, cnt in levels[-1].items():
+            for child in PRODUCTIONS[rule](*lab):
+                nxt[child] = nxt.get(child, 0) + cnt
+        levels.append(nxt)
+    return levels
+
+
+def test_the_reference_covers_the_catalog():
+    assert set(PRODUCTIONS) == set(RULES)
+
+
+@pytest.mark.parametrize("rule", sorted(PRODUCTIONS))
+def test_distribution_equals_the_per_child_dp(rule):
+    assert label_distribution(rule, 60) == _per_child_distribution(rule, 60)
+
+
+@pytest.mark.parametrize("rule", sorted(PRODUCTIONS))
+def test_expand_label_lists_the_production_in_order(rule):
+    if RULES[rule].axiom == (1,):
+        labels = [(k,) for k in range(31)]
+    else:
+        labels = [(h, k) for h in range(16) for k in range(16)]
+    for lab in labels:
+        assert expand_label(rule, lab) == tuple(PRODUCTIONS[rule](*lab)), lab
+
+
+def _sequence_for(rule, n):
+    """Terms 1..n of the rule's counting sequence, computed without any rule."""
+    if rule in ("cat", "cat2"):
+        return [catalan_number(m) for m in range(1, n + 1)]
+    if rule == "i-geq3":
+        return e3_sequence(n)[1:]
+    if rule in ("bax", "semi"):
+        return reference_sequence("baxter" if rule == "bax" else "semibaxter", n)
+    return list(callan_triangle(n).row_sums()[1:])
+
+
+@pytest.mark.parametrize("rule", sorted(PRODUCTIONS))
+def test_level_counts_at_the_depth_bound(rule):
+    depth = SIZE_LIMITS["depth"][1]
+    assert level_counts(rule, depth) == _sequence_for(rule, depth)
+
 
 LEVEL_PREFIXES = {
     "cat": [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796],
@@ -46,6 +138,14 @@ def test_malformed_labels_are_rejected():
         expand_label("semi", (-1, 2))
     with pytest.raises(KeyError):
         expand_label("nosuchrule", (1,))
+
+
+def test_runs_outside_the_sized_lines_are_rejected():
+    # a child two steps above its parent, and one below position 0
+    for runs in (lambda k: (Run((k + 2,), UP, 1),), lambda k: (Run((k - 2,), UP, 1),)):
+        rule = SuccessionRule("leap", (1,), runs)
+        with pytest.raises(ValueError):
+            label_distribution(rule, 3)
 
 
 def test_axioms():

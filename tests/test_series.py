@@ -1,10 +1,9 @@
 """Exact series arithmetic, recurrences, and the kernel formula."""
 import pytest
 
+from powcat.errors import SIZE_LIMITS
 from powcat.patterns import invseq_members
 from powcat.series import (
-    BAXTER_PREFIX,
-    SEMIBAXTER_PREFIX,
     callan_triangle,
     e3_sequence,
     functional_equation_residual,
@@ -13,6 +12,10 @@ from powcat.series import (
     reference_sequence,
     residual_is_zero,
 )
+
+# A001181 and A117106, sizes 1..13
+BAXTER_TERMS = [1, 2, 6, 22, 92, 422, 2074, 10754, 58202, 326240, 1882960, 11140560, 67329992]
+SEMIBAXTER_TERMS = [1, 2, 6, 23, 104, 530, 2958, 17734, 112657, 750726, 5207910, 37387881, 276467208]
 
 
 def test_e3_first_terms():
@@ -40,10 +43,12 @@ def test_reference_sequences():
     assert reference_sequence("pcat", 7) == [1, 2, 6, 23, 105, 549, 3207]
     assert reference_sequence("catalan", 9) == [1, 2, 5, 14, 42, 132, 429, 1430, 4862]
     assert reference_sequence("a108307", 8) == [1, 2, 5, 15, 51, 191, 772, 3320]
+    assert reference_sequence("baxter", 13) == BAXTER_TERMS
+    assert reference_sequence("semibaxter", 13) == SEMIBAXTER_TERMS
     with pytest.raises(ValueError):
-        reference_sequence("baxter", len(BAXTER_PREFIX) + 1)
+        reference_sequence("baxter", SIZE_LIMITS["baxter"][1] + 1)
     with pytest.raises(ValueError):
-        reference_sequence("semibaxter", len(SEMIBAXTER_PREFIX) + 1)
+        reference_sequence("semibaxter", SIZE_LIMITS["semibaxter"][1] + 1)
 
 
 def _callan_triangle_by_triple_sum(n_max):
