@@ -172,10 +172,16 @@ def phi(path: LatticePath) -> LatticePath:
     factor (and, when the in-between block is empty, the W's matching D) is
     dissolved and the valley reappears one level up with mark h + 1.
     """
-    require_valid(_as_vmsteady(path), "a valley-marked steady path")
-    steps = path.steps
-    if "W" not in steps:
+    require_valid(_as_kind(path, PathKind.VMSTEADY), "a valley-marked steady path")
+    if "W" not in path.steps:
         raise MembershipError("phi needs at least one W step")
+    return _phi(path)
+
+
+def _phi(path: LatticePath) -> LatticePath:
+    """phi on a valid valley-marked steady path with a W step; the image is
+    validated, so a chain of steps needs only its first input checked."""
+    steps = path.steps
     hs = path_heights(steps)
     w = max(
         (i for i, s in enumerate(steps) if s == "W"),
@@ -221,10 +227,16 @@ def theta(path: LatticePath) -> LatticePath:
     Inverse of phi: the chosen valley at height k with mark h is re-rooted
     inside a fresh D-U-W factor at height k - 1 with mark h - 1.
     """
-    require_valid(_as_vmsteady(path), "a valley-marked steady path")
-    steps, marks = path.steps, path.marks
-    if sum(marks) == 0:
+    require_valid(_as_kind(path, PathKind.VMSTEADY), "a valley-marked steady path")
+    if sum(path.marks) == 0:
         raise MembershipError("theta needs a nontrivial mark")
+    return _theta(path)
+
+
+def _theta(path: LatticePath) -> LatticePath:
+    """theta on a valid valley-marked steady path with a nontrivial mark; the
+    image is validated, as in _phi."""
+    steps, marks = path.steps, path.marks
     hs = path_heights(steps)
     valleys = path_valleys(steps)
     v_u, k = max(
@@ -265,23 +277,27 @@ def theta(path: LatticePath) -> LatticePath:
 # -- the full exchanges ----------------------------------------------------------------
 
 
-def _as_vmsteady(path: LatticePath) -> LatticePath:
-    return path if path.kind is PathKind.VMSTEADY else LatticePath(path.steps, path.marks, PathKind.VMSTEADY)
+def _as_kind(path: LatticePath, kind: PathKind) -> LatticePath:
+    return path if path.kind is kind else LatticePath(path.steps, path.marks, kind)
 
 
 def phi_star(path: LatticePath) -> LatticePath:
-    """Iterate phi until no W remains: steady path -> valley-marked Dyck path."""
-    cur = _as_vmsteady(path)
+    """Iterate phi until no W remains: steady path -> valley-marked Dyck path.
+    The input is checked once; each step validates its own image."""
+    require_valid(_as_kind(path, PathKind.STEADY), "a steady path")
+    cur = _as_kind(path, PathKind.VMSTEADY)
     while "W" in cur.steps:
-        cur = phi(cur)
+        cur = _phi(cur)
     return LatticePath(cur.steps, cur.marks, PathKind.VMDYCK)
 
 
 def theta_star(path: LatticePath) -> LatticePath:
-    """Iterate theta until the total mark is zero: valley-marked Dyck -> steady."""
-    cur = _as_vmsteady(path)
+    """Iterate theta until the total mark is zero: valley-marked Dyck -> steady.
+    The input is checked once; each step validates its own image."""
+    require_valid(_as_kind(path, PathKind.VMDYCK), "a valley-marked Dyck path")
+    cur = _as_kind(path, PathKind.VMSTEADY)
     while sum(cur.marks) > 0:
-        cur = theta(cur)
+        cur = _theta(cur)
     return make_path(cur.steps, kind=PathKind.STEADY)
 
 

@@ -196,6 +196,24 @@ def test_phi_star_worked_example():
     assert img.kind is PathKind.VMDYCK
 
 
+def test_star_maps_reject_non_members():
+    # the domain is read off the steps and marks, not the kind a path is built with
+    for path in (
+        make_path("UUDDDU", kind=PathKind.STEADY),  # leaves the cone
+        make_path("", kind=PathKind.STEADY),
+        make_path("UUDUWUDDDD", (1,), kind=PathKind.VMSTEADY),  # a steady path carries no marks
+    ):
+        with pytest.raises(MembershipError):
+            phi_star(path)
+    for path in (
+        make_path("DDUU", kind=PathKind.VMDYCK),
+        make_path("UUDUWUDDDD", kind=PathKind.VMDYCK),  # a W step
+        make_path("UUDUDD", (2,), kind=PathKind.VMDYCK),  # mark above the valley's height
+    ):
+        with pytest.raises(MembershipError):
+            theta_star(path)
+
+
 def test_star_maps_are_mutually_inverse_small():
     for n in range(1, 7):
         steadies = enumerate_class("path-kind", PathKind.STEADY, n)

@@ -55,6 +55,16 @@ def test_map_phi_star():
     assert code == 0 and out.strip() == "UUDUWUDDDD"
 
 
+def test_map_star_rejects_non_members():
+    for name, text in (
+        ("theta-star", "DDUU"),
+        ("phi-star", ""),
+        ("phi-star", "UUDDDU"),
+        ("phi-star", "UUDUWUDDDD;marks=1"),
+    ):
+        assert run(["map", "--name", name, "--input", text]) == (2, ""), (name, text)
+
+
 def test_map_tables_and_perms():
     code, out = run(["map", "--name", "tinv", "--input", "2,4,1,3"])
     assert code == 0 and out.strip() == "1,2,0,0"

@@ -1,0 +1,79 @@
+"""The verify check protocol: each check is declared once with its name and
+size range, stops at its first counterexample, and reports a broken internal
+invariant as its own FAIL."""
+from powcat import verify
+
+# (printed name, printed size range) of every check, in `verify all` order
+DECLARED = [
+    ("family-counts", "n <= 9/8/7/7/7"),
+    ("word-characterizations", "n <= 9"),
+    ("structural-criteria", "n <= 9 (perms <= 8)"),
+    ("equinumerosity", "n <= 7 (+pcat pair <= 8)"),
+    ("rule-object-agreement", "d <= 8 (p1234 <= 7)"),
+    ("count-agreement-deep", "n = 9 (perms 8)"),
+    ("growth-consistency", "n_max = 7 (cat 8)"),
+    ("growth-consistency-extra", "n_max = 7"),
+    ("triangle-refinements", "n <= 8"),
+    ("rule-isomorphism", "depth 10"),
+    ("label-distribution", "depth <= 12"),
+    ("catalan-correspondence", "n <= 9"),
+    ("steady-correspondence", "n <= 8"),
+    ("star-maps", "n <= 7"),
+    ("single-step-maps", "n <= 6"),
+    ("series-agreement", "n <= 9"),
+    ("kernel-residual", "order 8"),
+    ("functional-equation", "order 8"),
+    ("triangle-row-sums", "n <= 9"),
+    ("conjecture-23-1-4", "n <= 9 (evidence only)"),
+]
+
+CHECK_KEYS = [
+    "family-counts", "word-characterizations", "structural-criteria", "equinumerosity",
+    "rule-object-agreement", "count-agreement-deep", "growth-consistency", "growth-consistency-extra",
+    "triangle-refinements", "rule-isomorphism", "label-distribution-consistency",
+    "catalan-correspondence", "steady-correspondence", "star-maps", "single-step-maps",
+    "series-agreement", "kernel-residual", "functional-equation", "triangle-row-sums",
+    "conjecture-evidence",
+]
+
+
+def test_declared_table_without_running_a_check():
+    assert list(verify.CHECKS) == CHECK_KEYS
+    assert [(fn.name, fn.sizes) for fn in verify.SUITES["all"]] == DECLARED
+    assert set(verify.CHECKS.values()) == set(verify.SUITES["all"])
+
+
+def test_crash_reports_the_declared_name(monkeypatch):
+    def broken(*args):
+        raise ArithmeticError("label distribution broke")
+
+    monkeypatch.setattr(verify, "label_distribution", broken)
+    result = verify.check_label_distribution_consistency()
+    assert (result.name, result.ok, result.sizes) == ("label-distribution", False, "n/a")
+    assert result.counterexample == "label distribution broke"
+
+
+def test_crash_without_message_reports_the_error_type(monkeypatch):
+    def broken(n_max):
+        raise AssertionError
+
+    monkeypatch.setattr(verify, "conjecture_23_1_4_report", broken)
+    result = verify.check_conjecture_evidence()
+    assert (result.name, result.ok, result.sizes) == ("conjecture-23-1-4", False, "n/a")
+    assert result.counterexample == "AssertionError"
+
+
+def test_family_counts_stops_at_its_first_counterexample(monkeypatch):
+    calls = []
+    members = verify.invseq_members
+
+    def counting(fam, n):
+        calls.append((fam, n))
+        return members(fam, n)
+
+    monkeypatch.setattr(verify, "invseq_members", counting)
+    monkeypatch.setitem(verify.FAMILY_PREFIXES, "cat", (1, 2, 6))
+    result = verify.check_family_counts()
+    assert (result.name, result.ok, result.sizes) == ("family-counts", False, "n <= 9/8/7/7/7")
+    assert result.counterexample == "cat: counted (1, 2, 5), expected (1, 2, 6)"
+    assert calls == [("cat", 1), ("cat", 2), ("cat", 3)]
