@@ -522,32 +522,40 @@ def parse_path_text(text: str, kind: PathKind | str) -> LatticePath:
     return make_path(steps, marks, kind)
 
 
-def _parse_tree_nodes(text: str, pos: int) -> tuple[list[OrderedTree], int]:
-    nodes = []
-    while pos < len(text) and text[pos] not in ")":
-        if text[pos] == ",":
-            pos += 1
-            continue
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError(f"expected a label, got {text[pos]!r}", position=pos + 1)
-        label = int(text[start:pos])
-        children = ()
-        if pos < len(text) and text[pos] == "(":
-            kids, pos = _parse_tree_nodes(text, pos + 1)
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError("unbalanced parentheses", position=pos + 1)
-            pos += 1
-            children = tuple(kids)
-        nodes.append(OrderedTree(label, children))
-    return nodes, pos
-
-
 def parse_tree_text(text: str) -> OrderedTree:
-    nodes, pos = _parse_tree_nodes(text.strip(), 0)
-    if pos != len(text.strip()):
+    """Parse nested label lists with an explicit stack of open vertices, so
+    the nesting depth is bounded by memory, not by the recursion limit."""
+    text = text.strip()
+    stack = []  # open vertices, innermost last: (label, the siblings before it)
+    nodes = []  # finished vertices of the innermost open list
+    pos = 0
+    while True:
+        if pos < len(text) and text[pos] != ")":
+            if text[pos] == ",":
+                pos += 1
+                continue
+            start = pos
+            while pos < len(text) and text[pos].isdigit():
+                pos += 1
+            if pos == start:
+                raise ParseError(f"expected a label, got {text[pos]!r}", position=pos + 1)
+            label = int(text[start:pos])
+            if pos < len(text) and text[pos] == "(":
+                stack.append((label, nodes))
+                nodes = []
+                pos += 1
+            else:
+                nodes.append(OrderedTree(label))
+            continue
+        if not stack:
+            break
+        if pos == len(text):
+            raise ParseError("unbalanced parentheses", position=pos + 1)
+        label, siblings = stack.pop()
+        siblings.append(OrderedTree(label, tuple(nodes)))
+        nodes = siblings
+        pos += 1
+    if pos != len(text):
         raise ParseError("trailing input after tree", position=pos + 1)
     if len(nodes) != 1:
         raise ParseError(f"expected one root, found {len(nodes)}", position=1)

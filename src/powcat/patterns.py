@@ -8,17 +8,20 @@ entries must sit at consecutive positions.
 Enumerators prune on prefixes: removing the last entry of an inversion
 sequence (or the last point of a permutation, up to standardization) never
 creates a pattern occurrence, so any prefix containing a pattern is dead.
-Three enumerators carry a small state down their search, so that each
-candidate is judged in constant time instead of being rebuilt, rescanned
-or validated, and each test is exact:
+Each enumerator judges a candidate without building, rescanning or
+validating it, and each test is exact:
 
 - inversion sequences: bitmasks of the values placed and of the values
   that would complete a triple or 3-letter word occurrence; a candidate
   is rejected exactly when it ends an occurrence;
+- permutations: one search per parent, over the occurrences of each
+  pattern less its last entry, gives the mask of the appended ranks that
+  would complete an occurrence; only the other children are built;
 - steady words: the least diagonal distance the S1/S2 conditions of the
   up steps so far allow for the next one;
-- increasing-leaves trees: the leaf count and the longest increasing
-  prefix of the pre-order leaves, against the vertices still to insert.
+- increasing-leaves trees: vertices n, .., 1 go under the root in turn,
+  and the class is closed under deleting vertex 1, so every partial tree
+  is a member.
 
 The last two keep exactly the prefixes that can be completed, so their
 searches have no dead ends.  The docstrings give each condition and why it
@@ -381,36 +384,6 @@ def _ban_table(triples, words3, n):
     ]
 
 
-def _vincular_hit_at_end(values, pat: VincularPattern) -> bool:
-    """Occurrence whose last pattern entry sits at the last position."""
-    L = len(pat.perm)
-    n = len(values)
-    if n < L:
-        return False
-
-    def rec(idx, chosen_pos):
-        # positions chosen right to left for pattern entries idx..L-1
-        if idx == 0:
-            return True
-        upper = chosen_pos[0]
-        if idx in pat.adjacent:
-            candidates = [upper - 1] if upper - 1 >= idx - 1 else []
-        else:
-            candidates = range(upper - 1, idx - 2, -1)
-        for pos in candidates:
-            val = values[pos]
-            ok = True
-            for off, cp in enumerate(chosen_pos):
-                if (pat.perm[idx - 1] < pat.perm[idx + off]) != (val < values[cp]):
-                    ok = False
-                    break
-            if ok and rec(idx - 1, [pos] + chosen_pos):
-                return True
-        return False
-
-    return rec(L - 1, [n - 1])
-
-
 # -- enumerators ----------------------------------------------------------------
 
 
@@ -460,26 +433,80 @@ def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _prefix_bounds(pat: VincularPattern):
+    """For each entry i of the pattern, the earlier entries just below and
+    just above it in value (their indices, or None).  Values taken for
+    entries 0..i-1 in pattern order put a value in pattern order with all of
+    them exactly when it lies strictly between the values of these two."""
+    perm = pat.perm
+    return tuple(
+        (
+            max((p for p in range(i) if perm[p] < w), key=perm.__getitem__, default=None),
+            min((p for p in range(i) if perm[p] > w), key=perm.__getitem__, default=None),
+        )
+        for i, w in enumerate(perm)
+    )
+
+
+def _completing_ranks(cur, bounds, adjacent, chosen, idx, start) -> int:
+    """Bitmask of the ranks a whose appending to cur completes an occurrence
+    of the pattern in which entries 0..idx-1 took the values chosen[:idx]
+    before position start, its later entries but the last sit in cur at or
+    after start, and its last entry is a.  See perm_class_raw."""
+    m = len(cur)
+    last = len(bounds) - 1
+    lo, hi = bounds[idx]
+    low = 0 if lo is None else chosen[lo]
+    high = m + 1 if hi is None else chosen[hi]
+    if idx == last:
+        return (1 << high + 1) - (1 << low + 1)  # the ranks low+1 .. high
+    first, end = start, m - last + idx + 1  # entries idx+1 .. last-1 still need room before m
+    if idx > 0 and idx in adjacent:
+        end = min(end, start + 1)
+    if idx == last - 1 and last in adjacent:
+        first = max(first, m - 1)
+    mask = 0
+    for pos in range(first, end):
+        v = cur[pos]
+        if low < v < high:
+            chosen[idx] = v
+            mask |= _completing_ranks(cur, bounds, adjacent, chosen, idx + 1, pos + 1)
+    return mask
+
+
 @lru_cache(maxsize=None)
 def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
-    """All permutations of 1..n avoiding every listed vincular pattern."""
-    out = []
+    """All permutations of 1..n avoiding every listed vincular pattern, grown
+    by appending a rank: a permutation cur of 1..m has the children
+    cur' + (a,), a = 1..m+1 in turn, where cur' adds 1 to the values >= a.
 
-    def extend(cur):
-        m = len(cur)
-        if m == n:
-            out.append(cur)
-            return
-        for a in range(1, m + 2):
-            cand = tuple(v if v < a else v + 1 for v in cur) + (a,)
-            if any(_vincular_hit_at_end(cand, p) for p in patterns):
-                continue
-            extend(cand)
-
-    start = (1,)
-    if n >= 1 and not any(_vincular_hit_at_end(start, p) for p in patterns):
-        extend(start)
-    return tuple(out)
+    Deleting the last entry of a permutation and standardizing never makes
+    an occurrence, so a child of a member contains a pattern only through
+    occurrences that end at the new entry.  The shift keeps every relative
+    order within cur, and a value c of cur ends up below a when c < a and
+    above it when c >= a.  So take a pattern of length k and an occurrence
+    of its first k-1 entries in cur, with their adjacencies as positions in
+    cur, and entry k-1 at the last position of cur when entries k-1 and k
+    are adjacent.  It extends to an occurrence ending at the new entry
+    exactly when a lies in (L, U]: L is the largest of its values whose
+    pattern entry lies below entry k (0 if none) and U the smallest whose
+    pattern entry lies above it (m+1 if none).  One search per parent over
+    these occurrences gives the mask of the ranks that would complete an
+    occurrence, and only the other children are built.  The search starts
+    from the empty permutation, whose child (1,) goes through the same
+    mask (k = 1 gives the empty occurrence and the interval (0, 1]).
+    """
+    searches = [(_prefix_bounds(p), p.adjacent, [0] * len(p.perm)) for p in patterns]
+    level = [()] if n >= 1 else []
+    for m in range(n):
+        grown = []
+        for cur in level:
+            bad = 0
+            for bounds, adjacent, chosen in searches:
+                bad |= _completing_ranks(cur, bounds, adjacent, chosen, 0, 0)
+            grown += [tuple([v if v < a else v + 1 for v in cur]) + (a,) for a in range(1, m + 2) if not bad >> a & 1]
+        level = grown
+    return tuple(level)
 
 
 @lru_cache(maxsize=None)
@@ -558,100 +585,60 @@ def vmsteady_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-# Trees under construction are flat: the pre-order tuple of (label, depth)
-# pairs.  Vertex `label` goes in as a new leaf; the places it can go are a
-# parent and a gap between that parent's children, parents in pre-order and
-# gaps left to right.
-
-
-def _insertion_sites(flat):
-    """(index in flat, depth, leaf position, parent was a leaf) for every
-    place a new leaf can go, in search order.  The leaf position is the new
-    leaf's index in the pre-order leaf sequence."""
-    m = len(flat)
-    end = [m] * m  # end[i]: index just past the subtree of vertex i
-    stack = []
-    for j, (_, depth) in enumerate(flat):
-        while stack and flat[stack[-1]][1] >= depth:
-            end[stack.pop()] = j
-        stack.append(j)
-    before = [0]  # before[x]: leaves among flat[:x]
-    for i in range(m):
-        before.append(before[i] + (end[i] == i + 1))
-    sites = []
-    for i, (_, depth) in enumerate(flat):
-        if end[i] == i + 1:
-            sites.append((i + 1, depth + 1, before[i], True))
-            continue
-        j = i + 1
-        while j < end[i]:
-            sites.append((j, depth + 1, before[j], False))
-            j = end[j]
-        sites.append((j, depth + 1, before[j], False))
-    return sites
-
-
-def _flat_to_tree(flat) -> OrderedTree:
-    stack = [(flat[0][0], [])]  # open vertices: label, children so far
-    # a closing pair at depth 1 finishes every open vertex below the root
-    for label, depth in flat[1:] + ((None, 1),):
-        while len(stack) > depth:
-            lab, kids = stack.pop()
-            stack[-1][1].append(OrderedTree(lab, tuple(kids)))
-        stack.append((label, []))
-    return OrderedTree(stack[0][0], tuple(stack[0][1]))
-
-
 def _grow_trees(n, leaves_increasing: bool) -> tuple[OrderedTree, ...]:
-    """Increasing ordered trees on 0..n by inserting 1..n in turn, each as a
-    leaf at every site; with leaves_increasing, only the partial trees that
-    can still end with increasing pre-order leaves are kept.
-
-    Each partial tree carries its leaf count and the length of the longest
-    increasing prefix of its leaf sequence.  The new leaf outranks every
-    leaf, so at leaf position pos that prefix becomes pos + 1 long when
-    pos <= its old length and stays the same otherwise.
-    """
+    """Increasing ordered trees on 0..n built from the root alone by placing
+    n, n-1, .., 1 under the root in turn, each over a run of consecutive root
+    children (which become its children) or as a leaf in a gap between them;
+    with leaves_increasing, a new leaf goes in the leftmost gap only.
+    Siblings of the new vertex are shared, not copied."""
     out = []
 
-    def extend(flat, leaves, prefix):
-        label = len(flat)
-        if label > n:
-            out.append(_flat_to_tree(flat))
+    def extend(kids, v):
+        if v == 0:
+            out.append(OrderedTree(0, kids))
             return
-        for x, depth, pos, replaces in _insertion_sites(flat):
-            grown = leaves if replaces else leaves + 1
-            rising = pos + 1 if pos <= prefix else prefix
-            if leaves_increasing and grown - rising > n - label:
-                continue
-            extend(flat[:x] + ((label, depth),) + flat[x:], grown, rising)
+        k = len(kids)
+        for g in range(1 if leaves_increasing else k + 1):
+            extend(kids[:g] + (OrderedTree(v),) + kids[g:], v - 1)
+        for i in range(k):
+            for j in range(i + 1, k + 1):
+                extend(kids[:i] + (OrderedTree(v, kids[i:j]),) + kids[j:], v - 1)
 
-    extend(((0, 0),), 1, 1)
+    extend((), n)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def increasing_ordered_trees(n) -> tuple[OrderedTree, ...]:
-    """All (2n-1)!! increasing ordered trees on labels 0..n."""
+    """All (2n-1)!! increasing ordered trees on labels 0..n.
+
+    In such a tree vertex 1 is a child of the root.  Deleting it and putting
+    its children in its place among the root's children leaves an
+    increasing ordered tree on 0, 2..n, and vertex 1 is recovered from the
+    place it covered: a run of consecutive root children, or a gap between
+    them when it was a leaf.  Every tree on 0..n therefore arises exactly
+    once from a tree on one vertex fewer and a place, and with k root
+    children there are k(k+1)/2 runs and k+1 gaps.  Read with final labels,
+    this places n first and 1 last, always under the root.
+    """
     return _grow_trees(n, leaves_increasing=False)
 
 
 @lru_cache(maxsize=None)
 def increasing_leaf_trees(n) -> tuple[OrderedTree, ...]:
-    """Increasing ordered trees whose pre-order leaves increase, by an
-    insertion search with exact pruning, in the order of
-    increasing_ordered_trees.
+    """Increasing ordered trees whose pre-order leaves increase, by the
+    decomposition of increasing_ordered_trees restricted to members.
 
-    Every later vertex outranks every current leaf, and a leaf that later
-    gets a child leaves its pre-order slot to larger leaves.  So in a
-    completion the current leaves that stay leaves come before every new
-    leaf and before every leaf that gets a child, and must increase: they
-    are a prefix of the increasing prefix of the leaf sequence, and each
-    leaf after them needs a vertex of its own.  A partial tree is therefore
-    completable iff leaves - (longest increasing prefix of the leaves) <=
-    vertices still to insert: hang one new vertex below each leaf past
-    that prefix, in order, and chain the rest below the last new vertex
-    (or the last leaf).  Every kept partial tree has a completion.
+    Deleting vertex 1 keeps every other leaf a leaf and keeps their
+    pre-order, so it keeps the leaves increasing: the class is closed under
+    the deletion.  Putting vertex 1 back over a run of root children adds
+    no leaf, so the tree stays a member.  As a leaf, 1 is the least leaf, so
+    the tree is a member exactly when it is the first leaf in pre-order, that
+    is when it sits in the leftmost gap (any root child before it carries a
+    leaf of its own).  The search therefore keeps exactly the members at
+    every step, and has no dead ends and no filter; the places it skips
+    make non-members, and by the closure everything grown from a
+    non-member is one, so the order is that of increasing_ordered_trees.
     """
     return _grow_trees(n, leaves_increasing=True)
 

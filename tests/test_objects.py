@@ -268,6 +268,35 @@ def test_tree_text_multi_digit_labels_use_separators():
     assert parse_object(text, "tree") == t
 
 
+def test_tree_text_parses_at_any_nesting_depth():
+    depth = 3000
+    t = parse_object("(".join(map(str, range(depth + 1))) + ")" * depth, "tree")
+    for label in range(depth):
+        assert t.label == label and len(t.children) == 1
+        t = t.children[0]
+    assert t == OrderedTree(depth)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("0(1", "unbalanced parentheses", 4),
+        ("0(1(2)", "unbalanced parentheses", 7),
+        ("0(x)", "expected a label, got 'x'", 3),
+        ("(1)", "expected a label, got '('", 1),
+        ("0)", "trailing input after tree", 2),
+        ("0(1))", "trailing input after tree", 5),
+        ("0,1", "expected one root, found 2", 1),
+        ("", "expected one root, found 0", 1),
+    ],
+)
+def test_malformed_tree_text(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_object(text, "tree")
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError):
         parse_object("0,,1", "invseq")

@@ -1,6 +1,7 @@
 """Avoidance oracles, enumerators, and the structural characterizations."""
+from itertools import combinations, product
 from itertools import permutations as iperm
-from itertools import product
+from math import prod
 
 import pytest
 
@@ -38,6 +39,7 @@ from powcat.patterns import (
     weak_descent_criterion,
     WORD_CHARACTERIZATIONS,
 )
+from powcat.series import reference_sequence
 
 GEQ_DASH_GEQ = RelationTriple("geq", "dash", "geq")
 
@@ -280,6 +282,19 @@ def test_leaf_trees_match_the_validated_increasing_trees():
         assert list(increasing_leaf_trees(n)) == want, n
 
 
+def test_increasing_ordered_trees_are_all_distinct_and_valid():
+    for n in range(1, 7):
+        trees = increasing_ordered_trees(n)
+        assert len(trees) == prod(range(1, 2 * n, 2)), n  # (2n-1)!!
+        assert len(set(trees)) == len(trees), n
+        for t in trees:  # labels 0..n, increasing away from the root; leaves in any order
+            assert not [v for v in validate(t).violations if v.invariant != "increasing-leaves"], to_text(t)
+
+
+def test_leaf_trees_count_the_powered_catalan_numbers_at_9():
+    assert count_class("tree", None, 9, limit=9) == reference_sequence("pcat", 9)[-1]
+
+
 # -- permutation statistics --------------------------------------------------------------
 
 
@@ -336,6 +351,35 @@ def test_structural_criteria_small(family, criterion):
     for n in range(1, 8):
         members = set(invseq_members(family, n))
         assert members == {e for e in all_invseqs(n) if criterion(e)}
+
+
+def perms_by_appended_rank(n):
+    """All permutations of 1..n in the order perm_class_raw grows them:
+    append a = 1..m+1 to a permutation of 1..m, raising its values >= a."""
+    level = [()]
+    for m in range(n):
+        level = [tuple(v + (v >= a) for v in p) + (a,) for p in level for a in range(1, m + 2)]
+    return level
+
+
+# every pattern of length <= 3 with every adjacency set, and the paper's patterns
+SMALL_VINCULAR = [
+    (VincularPattern(perm, frozenset(adj)),)
+    for k in (1, 2, 3)
+    for perm in iperm(range(1, k + 1))
+    for r in range(k)
+    for adj in combinations(range(1, k), r)
+] + [
+    tuple(VincularPattern.parse(p) for p in texts.split("+"))
+    for texts in ("1-23-4", "23-1-4", "1-34-2", "2-14-3", "1-23+2-14-3")
+]
+
+
+@pytest.mark.parametrize("patterns", SMALL_VINCULAR, ids=lambda key: "+".join(str(p) for p in key))
+def test_perm_enumerator_matches_the_filter_in_order(patterns):
+    for n in range(1, 8):
+        want = [p for p in perms_by_appended_rank(n) if all(avoids_vincular(p, q) for q in patterns)]
+        assert list(perm_class_raw(patterns, n)) == want, n
 
 
 def test_ascent_criterion_matches_1_23_4():
