@@ -14,6 +14,7 @@ from .objects import (
     LatticePath,
     PathKind,
     Permutation,
+    is_valid,
     make_path,
     path_from_up_points,
     path_heights,
@@ -103,9 +104,8 @@ def perm_to_steady(p: Permutation) -> LatticePath:
     n = len(t)
     pts = [(m + t[n - 1 - m], m - t[n - 1 - m]) for m in range(n)]
     path = make_path(path_from_up_points(pts), kind=PathKind.STEADY)
-    report = validate(path)
-    if not report.ok:
-        raise AssertionError(f"image {path.steps} is not steady: {report.violations[0].detail}")
+    if not is_valid(path):
+        raise AssertionError(f"image {path.steps} is not steady: {validate(path).violations[0].detail}")
     return path
 
 
@@ -130,10 +130,10 @@ def _first_drop_right(heights, start, level):
     raise AssertionError("path never descends below level")
 
 
-def _transfer_marks(old_path, new_steps, carried, inserted_u, new_mark):
+def _transfer_marks(old_marks, new_steps, carried, inserted_u, new_mark):
     """Marks travel with their valley's U step; the one inserted U gets the
-    new mark.  carried maps old step index -> new step index."""
-    old_marks = {u: m for (u, _), m in zip(path_valleys(old_path.steps), old_path.marks)}
+    new mark.  old_marks maps the U step of each old valley to its mark and
+    carried maps new step index -> old step index."""
     marks = []
     for u, _ in path_valleys(new_steps):
         if u == inserted_u:
@@ -212,12 +212,10 @@ def _phi(path: LatticePath) -> LatticePath:
             ("old", w + 1, len(steps)),  # B, both matching Ds, C, suffix
         ]
     new_steps, carried, fresh = _reassemble(steps, pieces)
-    inserted_u = fresh[0]
-    old_mark = {u: m for (u, _), m in zip(path_valleys(steps), path.marks)}[d + 1]
-    out = _transfer_marks(path, new_steps, carried, inserted_u, old_mark + 1)
-    report = validate(out)
-    if not report.ok:
-        raise AssertionError(f"phi image invalid: {report.violations[0].detail}")
+    old_marks = {u: m for (u, _), m in zip(path_valleys(steps), path.marks)}
+    out = _transfer_marks(old_marks, new_steps, carried, fresh[0], old_marks[d + 1] + 1)
+    if not is_valid(out):
+        raise AssertionError(f"phi image invalid: {validate(out).violations[0].detail}")
     return out
 
 
@@ -243,7 +241,7 @@ def _theta(path: LatticePath) -> LatticePath:
         ((u, h) for (u, h), m in zip(valleys, marks) if m > 0),
         key=lambda vh: (vh[1], -vh[0]),
     )
-    h_mark = {u: m for (u, _), m in zip(valleys, marks)}[v_u]
+    old_marks = {u: m for (u, _), m in zip(valleys, marks)}
     a_start = v_u - 1
     while a_start > 0 and hs[a_start - 1] >= k:
         a_start -= 1
@@ -266,11 +264,9 @@ def _theta(path: LatticePath) -> LatticePath:
             ("old", v_u + 1, len(steps)),  # B, both Ds, C, suffix
         ]
     new_steps, carried, fresh = _reassemble(steps, pieces)
-    inserted_u = fresh[1]
-    out = _transfer_marks(path, new_steps, carried, inserted_u, h_mark - 1)
-    report = validate(out)
-    if not report.ok:
-        raise AssertionError(f"theta image invalid: {report.violations[0].detail}")
+    out = _transfer_marks(old_marks, new_steps, carried, fresh[1], old_marks[v_u] - 1)
+    if not is_valid(out):
+        raise AssertionError(f"theta image invalid: {validate(out).violations[0].detail}")
     return out
 
 

@@ -23,13 +23,13 @@ from .objects import (
     PathKind,
     Permutation,
     edge_line_offset,
+    is_valid,
     last_descent_length,
     make_path,
     path_from_up_points,
     to_text,
     require_valid,
     up_step_points,
-    validate,
 )
 from .patterns import (
     VincularPattern,
@@ -249,7 +249,8 @@ def steady_label(path: LatticePath) -> Label:
 
 def steady_children(path: LatticePath):
     """Children by a new rightmost up step at each admissible height."""
-    require_valid(make_path(path.steps, kind=PathKind.STEADY), "a steady path")
+    steady = path if path.kind is PathKind.STEADY else make_path(path.steps, kind=PathKind.STEADY)
+    require_valid(steady, "a steady path")
     n = path.size
     pts = up_step_points(path.steps)
     t_half = edge_line_offset(path.steps) // 2
@@ -382,7 +383,7 @@ class FamilyGrowth:
         return enumerate_class(*self.cls, n)
 
     def member(self, obj) -> bool:
-        return validate(obj).ok and in_class(*self.cls, obj)
+        return is_valid(obj) and in_class(*self.cls, obj)
 
 
 FAMILIES = {
@@ -426,12 +427,14 @@ class GrowthReport:
 def growth_consistency(family: str, n_max: int) -> GrowthReport:
     """Certify one growth up to n_max: every child is a member, child-label
     multisets equal the rule productions, labels recomputed on children match
-    the emitted ones, and each member of size s+1 has exactly one parent."""
+    the emitted ones, and each member of size s+1 has exactly one parent.
+    Each size is enumerated once: the members of size s+1 are the next
+    parents."""
     fam = FAMILIES[family]
     violations = []
     checked = 0
+    members = fam.enumerate(1)
     for s in range(1, n_max + 1):
-        members = fam.enumerate(s)
         produced = Counter()
         for obj in members:
             checked += 1
@@ -451,10 +454,11 @@ def growth_consistency(family: str, n_max: int) -> GrowthReport:
                         f"size {s}: child {to_text(child)} of {to_text(obj)} got label {lab}, "
                         f"direct computation gives {fam.label(child)}"
                     )
-                if fam.parent is not None and to_text(fam.parent(child)) != to_text(obj):
+                if fam.parent is not None and fam.parent(child) != obj:
                     violations.append(f"size {s}: parent of {to_text(child)} is not {to_text(obj)}")
                 produced[to_text(child)] += 1
-        next_members = Counter(to_text(o) for o in fam.enumerate(s + 1))
+        members = fam.enumerate(s + 1)
+        next_members = Counter(map(to_text, members))
         if produced != next_members:
             extra = produced - next_members
             missing = next_members - produced

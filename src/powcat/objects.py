@@ -5,6 +5,10 @@ paths over the step alphabet {U, D, W} with per-valley marks, and labeled
 ordered trees.  Values are immutable after construction and construction is
 permissive: invariants are checked by :func:`validate`, which reports every
 violation (not just the first) so that callers can shrink counterexamples.
+:func:`is_valid` is the membership test for hot paths: it returns exactly
+``validate(obj).ok`` from one pass per object and builds no report, so a
+caller that only needs the verdict, or builds the report only to word an
+error (:func:`require_valid`), pays for the report only on failure.
 
 Path geometry conventions: U = (1,1), D = (1,-1), W = (-1,1); paths start at
 the origin; a valley is a DU factor and its height is the y-coordinate of
@@ -43,7 +47,7 @@ class InversionSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(v) for v in self.entries))
+        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
 
     def __len__(self):
         return len(self.entries)
@@ -59,7 +63,7 @@ class Permutation:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
 
     def __len__(self):
         return len(self.values)
@@ -86,8 +90,8 @@ class LatticePath:
         for i, s in enumerate(self.steps):
             if s not in STEP_VECTORS:
                 raise ParseError(f"step {s!r} is not one of U, D, W", position=i + 1)
-        object.__setattr__(self, "marks", tuple(int(m) for m in self.marks))
-        nv = len(path_valleys(self.steps))
+        object.__setattr__(self, "marks", tuple(map(int, self.marks)))
+        nv = self.steps.count("DU")
         if len(self.marks) != nv:
             raise ParseError(
                 f"{len(self.marks)} marks for {nv} valleys", position=len(self.steps)
@@ -103,11 +107,8 @@ class LatticePath:
 def make_path(steps: str, marks=None, kind: PathKind | str = PathKind.DYCK) -> LatticePath:
     """Build a path, defaulting marks to one zero per valley."""
     kind = PathKind(kind)
-    for i, s in enumerate(steps):
-        if s not in STEP_VECTORS:
-            raise ParseError(f"step {s!r} is not one of U, D, W", position=i + 1)
     if marks is None:
-        marks = (0,) * len(path_valleys(steps))
+        marks = (0,) * steps.count("DU")
     return LatticePath(steps, tuple(marks), kind)
 
 
@@ -193,13 +194,17 @@ def path_heights(steps: str) -> list[int]:
 
 
 def path_valleys(steps: str) -> list[tuple[int, int]]:
-    """Valleys as (index of the U step, valley height), left to right."""
+    """Valleys as (index of the U step, valley height), left to right.  The
+    height after a run of steps is 2 * (its U and W steps) - its length."""
     out = []
-    y = 0
-    for i, s in enumerate(steps):
-        y += STEP_VECTORS[s][1]
-        if s == "D" and i + 1 < len(steps) and steps[i + 1] == "U":
-            out.append((i + 1, y))
+    y = done = 0
+    i = steps.find("DU")
+    while i >= 0:
+        run = steps[done : i + 1]
+        y += 2 * (run.count("U") + run.count("W")) - len(run)
+        done = i + 1
+        out.append((done, y))
+        i = steps.find("DU", done)
     return out
 
 
@@ -224,12 +229,11 @@ def _up_factor_positions(steps: str) -> list[int]:
 def edge_line_offset(steps: str) -> int:
     """Offset t of the edge line y = x - t through the up step of the
     rightmost UU or WU factor; t = 0 when no such factor exists."""
-    pos = _up_factor_positions(steps)
-    if not pos:
+    i = max(steps.rfind("UU"), steps.rfind("WU")) + 1
+    if not i:
         return 0
-    i = pos[-1]
-    x, y = path_points(steps)[i]
-    return x - y
+    head = steps[:i]  # U keeps x - y, D raises it by 2 and W lowers it by 2
+    return 2 * (head.count("D") - head.count("W"))
 
 
 def diagonal_step_count(steps: str) -> int:
@@ -484,11 +488,94 @@ def validate(obj) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
+def _path_ok(path: LatticePath) -> bool:
+    """One forward pass over the steps.  S1/S2 become a running floor on
+    x - y: the start of each UU or WU up step raises it to its own x - y,
+    which the up step keeps, and no later point may fall below it.  A W step
+    blocks a nonzero mark on a valley above its start, or at its height and
+    to its left; so each W is checked against the highest nonzero-marked
+    valley before it, and each such valley against the lowest W before it.
+    y = 0 at the end also puts the end at x = 2 * (up steps), since
+    x + y = 2 * (up steps) all along."""
+    steps, marks, kind = path.steps, path.marks, path.kind
+    if not steps or not kind.marked and any(marks):
+        return False
+    w_kind = kind.allows_w
+    x = y = floor = valley = 0
+    lowest_w = top_mark = None  # lowest W start so far; highest nonzero-marked valley so far
+    prev = ""
+    for s in steps:
+        if s == "U":
+            if prev == "D":
+                m = marks[valley]
+                valley += 1
+                if m:
+                    if not 0 < m <= y or lowest_w is not None and lowest_w < y:
+                        return False
+                    top_mark = y if top_mark is None else max(top_mark, y)
+            elif prev and x - y > floor:  # a UU or WU factor
+                floor = x - y
+            x += 1
+            y += 1
+        elif s == "D":
+            if prev == "W":
+                return False
+            x += 1
+            y -= 1
+        else:
+            if not w_kind or prev == "D" or top_mark is not None and top_mark >= y:
+                return False
+            lowest_w = y if lowest_w is None else min(lowest_w, y)
+            x -= 1
+            y += 1
+        if y < 0 or w_kind and x - y < floor:  # the floor is >= 0, so this keeps y <= x too
+            return False
+        prev = s
+    return y == 0
+
+
+def _tree_ok(t: OrderedTree) -> bool:
+    """Pre-order walk with an explicit stack of (vertex, its parent's label):
+    root 0, every child above its parent, leaves increasing, and the labels
+    0..n.  Labels 0..n are >= 0, so -1 can stand for no parent and no leaf
+    yet; any other labels fail the last test."""
+    labels = []
+    last_leaf = -1
+    stack = [(t, -1)]
+    while stack:
+        node, above = stack.pop()
+        label = node.label
+        if label <= above:
+            return False
+        labels.append(label)
+        if node.children:
+            for c in reversed(node.children):
+                stack.append((c, label))
+        elif label <= last_leaf:
+            return False
+        else:
+            last_leaf = label
+    return t.label == 0 and sorted(labels) == list(range(len(labels)))
+
+
+def is_valid(obj) -> bool:
+    """Exactly validate(obj).ok, from one pass that builds no report."""
+    if isinstance(obj, InversionSequence):
+        return bool(obj.entries) and all(0 <= v < i for i, v in enumerate(obj.entries, start=1))
+    if isinstance(obj, Permutation):
+        return bool(obj.values) and sorted(obj.values) == list(range(1, len(obj.values) + 1))
+    if isinstance(obj, LatticePath):
+        return _path_ok(obj)
+    if isinstance(obj, OrderedTree):
+        return _tree_ok(obj)
+    raise TypeError(f"cannot validate {type(obj).__name__}")
+
+
 def require_valid(obj, what: str) -> None:
-    """Raise MembershipError naming the first violation unless obj is valid."""
-    report = validate(obj)
-    if not report.ok:
-        raise MembershipError(f"{to_text(obj)} is not {what}: {report.violations[0].detail}")
+    """Raise MembershipError naming the first violation unless obj is valid;
+    the report is built only to word the error."""
+    if not is_valid(obj):
+        raise MembershipError(f"{to_text(obj)} is not {what}: {validate(obj).violations[0].detail}")
 
 
 # -- text formats --------------------------------------------------------------
@@ -594,17 +681,22 @@ def text_size(text: str, kind: str) -> int:
 def to_text(obj) -> str:
     """Canonical text form; inverse of parse_object for every valid object."""
     if isinstance(obj, InversionSequence):
-        return ",".join(str(v) for v in obj.entries)
+        return ",".join(map(str, obj.entries))
     if isinstance(obj, Permutation):
-        return ",".join(str(v) for v in obj.values)
+        return ",".join(map(str, obj.values))
     if isinstance(obj, tuple):
-        return ",".join(str(v) for v in obj)
+        return ",".join(map(str, obj))
     if isinstance(obj, LatticePath):
         if obj.kind.marked and obj.marks:
-            return obj.steps + ";marks=" + ",".join(str(m) for m in obj.marks)
+            return obj.steps + ";marks=" + ",".join(map(str, obj.marks))
         return obj.steps
     if isinstance(obj, OrderedTree):
-        return _tree_text(obj, any(l > 9 for l in obj.preorder_labels()))
+        # a label above 9 has two digits, and in the narrow form no two
+        # digits of different labels touch
+        text = _tree_text(obj, False)
+        if re.search(r"\d\d", text) and any(l > 9 for l in obj.preorder_labels()):
+            return _tree_text(obj, True)
+        return text
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -614,7 +706,12 @@ def _tree_text(t: OrderedTree, wide: bool) -> str:
     one when some label has more than one digit."""
     if not t.children:
         return str(t.label)
-    body = _tree_text(t.children[0], wide)
-    for prev, c in zip(t.children, t.children[1:]):
-        body += ("," if wide or not prev.children else "") + _tree_text(c, wide)
-    return f"{t.label}({body})"
+    parts = [str(t.label), "("]
+    prev = None
+    for c in t.children:
+        if prev is not None and (wide or not prev.children):
+            parts.append(",")
+        parts.append(_tree_text(c, wide))
+        prev = c
+    parts.append(")")
+    return "".join(parts)

@@ -27,12 +27,18 @@ The last two keep exactly the prefixes that can be completed, so their
 searches have no dead ends.  The docstrings give each condition and why it
 holds.  Streams are reproducible: objects come out sorted by their
 canonical text.
+
+The single-object oracles share the enumerators' state: avoids_triple
+carries the same two bitmasks over the same ban table in one left-to-right
+pass, and avoids_vincular tests each candidate entry against the two
+earlier entries that bound it, as the permutation search does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from math import inf
 
 from .errors import ParseError, check_size
 from .objects import (
@@ -142,19 +148,41 @@ class VincularPattern:
 # -- single-object oracles -----------------------------------------------------
 
 
-def avoids_triple(e: InversionSequence, triple: RelationTriple) -> bool:
-    """True when no i<j<k has e_i r1 e_j, e_j r2 e_k, e_i r3 e_k."""
-    r1, r2, r3 = RELATIONS[triple.first], RELATIONS[triple.second], RELATIONS[triple.third]
+def avoids_triple(e, triple: RelationTriple) -> bool:
+    """True when no i<j<k has e_i r1 e_j, e_j r2 e_k, e_i r3 e_k.
+
+    The state of invseq_class_raw read left to right: ``seen``, the values
+    so far, and ``banned``, the values that would end an occurrence.  The
+    relations see only order and equality, so any integer tuple is first
+    moved onto values 0..n-1 of the same order and equality."""
     v = e.entries if isinstance(e, InversionSequence) else tuple(e)
     n = len(v)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            if not r1(v[i], v[j]):
-                continue
-            for k in range(j + 1, n):
-                if r2(v[j], v[k]) and r3(v[i], v[k]):
-                    return False
+    if n < 3:
+        return True
+    lo = min(v)
+    if max(v) - lo >= n:
+        rank = {x: r for r, x in enumerate(sorted(set(v)))}
+        v = [rank[x] for x in v]
+    elif lo:
+        v = [x - lo for x in v]
+    bans = _triple_bans(triple, n)
+    placed = []  # the distinct values of seen
+    seen = banned = 0
+    for x in v:
+        if banned >> x & 1:
+            return False
+        for a in placed:
+            banned |= bans[a][x]
+        if not seen >> x & 1:
+            seen |= 1 << x
+            placed.append(x)
     return True
+
+
+@lru_cache(maxsize=None)
+def _triple_bans(triple: RelationTriple, n: int):
+    """The _ban_table of one triple for the values < n."""
+    return _ban_table((triple,), (), n)
 
 
 def _word_consistent(word, chosen_vals, idx, val) -> bool:
@@ -192,36 +220,31 @@ def avoids_word(e, w: WordPattern) -> bool:
     return not _contains_word(v, w.word, 0, [])
 
 
-def _perm_consistent(perm, chosen_vals, idx, val) -> bool:
-    w = perm[idx]
-    for p, cv in enumerate(chosen_vals):
-        if (perm[p] < w) != (cv < val):
-            return False
-    return True
-
-
-def _contains_vincular(values, pat: VincularPattern, start, chosen) -> bool:
-    idx = len(chosen)
-    if idx == len(pat.perm):
+def _contains_vincular(values, plan, chosen, idx, start) -> bool:
+    """Whether an occurrence of the pattern whose entries 0..idx-1 took the
+    values chosen[:idx] before position start ends in values at or after
+    start; plan is the pattern's _search_plan.  A value tied with the
+    bounding entry above counts as above it, as in a pairwise comparison
+    with every earlier entry; a permutation has no ties."""
+    if idx == len(plan):
         return True
-    if idx > 0 and idx in pat.adjacent:
-        positions = [start] if start < len(values) else []
-    else:
-        positions = range(start, len(values) - (len(pat.perm) - idx) + 1)
-    for pos in positions:
-        if _perm_consistent(pat.perm, [values[q] for q in chosen], idx, values[pos]):
-            chosen.append(pos)
-            if _contains_vincular(values, pat, pos + 1, chosen):
-                chosen.pop()
+    lo, hi, tied, after = plan[idx]
+    low = -inf if lo is None else chosen[lo]
+    high = inf if hi is None else chosen[hi]
+    # the room the earlier entries left keeps start + 1 within the range
+    for pos in range(start, start + 1 if tied else len(values) - after):
+        v = values[pos]
+        if low < v <= high:
+            chosen[idx] = v
+            if _contains_vincular(values, plan, chosen, idx + 1, pos + 1):
                 return True
-            chosen.pop()
     return False
 
 
 def avoids_vincular(p, pattern: VincularPattern) -> bool:
     """True when p has no occurrence of the (possibly vincular) pattern."""
     v = p.values if isinstance(p, Permutation) else tuple(p)
-    return not _contains_vincular(v, pattern, 0, [])
+    return not v or not _contains_vincular(v, _search_plan(pattern), [0] * len(pattern.perm), 0, 0)
 
 
 def _strict_minima(seq) -> int:
@@ -433,44 +456,44 @@ def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _prefix_bounds(pat: VincularPattern):
-    """For each entry i of the pattern, the earlier entries just below and
-    just above it in value (their indices, or None).  Values taken for
-    entries 0..i-1 in pattern order put a value in pattern order with all of
-    them exactly when it lies strictly between the values of these two."""
-    perm = pat.perm
+@lru_cache(maxsize=None)
+def _search_plan(pat: VincularPattern):
+    """For each entry i of the pattern: the earlier entries just below and
+    just above it in value (their indices, or None), whether it must sit
+    right after entry i-1, and the number of entries after it.  Values
+    taken for entries 0..i-1 in pattern order put a value in pattern order
+    with all of them exactly when it lies strictly between the values of
+    the first two."""
+    perm, k = pat.perm, len(pat.perm)
     return tuple(
         (
             max((p for p in range(i) if perm[p] < w), key=perm.__getitem__, default=None),
             min((p for p in range(i) if perm[p] > w), key=perm.__getitem__, default=None),
+            i in pat.adjacent,  # never 0
+            k - 1 - i,
         )
         for i, w in enumerate(perm)
     )
 
 
-def _completing_ranks(cur, bounds, adjacent, chosen, idx, start) -> int:
+def _completing_ranks(cur, plan, chosen, idx, start) -> int:
     """Bitmask of the ranks a whose appending to cur completes an occurrence
     of the pattern in which entries 0..idx-1 took the values chosen[:idx]
     before position start, its later entries but the last sit in cur at or
     after start, and its last entry is a.  See perm_class_raw."""
     m = len(cur)
-    last = len(bounds) - 1
-    lo, hi = bounds[idx]
+    lo, hi, tied, after = plan[idx]
     low = 0 if lo is None else chosen[lo]
     high = m + 1 if hi is None else chosen[hi]
-    if idx == last:
+    if not after:
         return (1 << high + 1) - (1 << low + 1)  # the ranks low+1 .. high
-    first, end = start, m - last + idx + 1  # entries idx+1 .. last-1 still need room before m
-    if idx > 0 and idx in adjacent:
-        end = min(end, start + 1)
-    if idx == last - 1 and last in adjacent:
-        first = max(first, m - 1)
+    first = max(start, m - 1) if after == 1 and plan[-1][2] else start  # the last entry is at m
     mask = 0
-    for pos in range(first, end):
+    for pos in range(first, start + 1 if tied else m - after + 1):
         v = cur[pos]
         if low < v < high:
             chosen[idx] = v
-            mask |= _completing_ranks(cur, bounds, adjacent, chosen, idx + 1, pos + 1)
+            mask |= _completing_ranks(cur, plan, chosen, idx + 1, pos + 1)
     return mask
 
 
@@ -496,14 +519,14 @@ def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
     from the empty permutation, whose child (1,) goes through the same
     mask (k = 1 gives the empty occurrence and the interval (0, 1]).
     """
-    searches = [(_prefix_bounds(p), p.adjacent, [0] * len(p.perm)) for p in patterns]
+    searches = [(_search_plan(p), [0] * len(p.perm)) for p in patterns]
     level = [()] if n >= 1 else []
     for m in range(n):
         grown = []
         for cur in level:
             bad = 0
-            for bounds, adjacent, chosen in searches:
-                bad |= _completing_ranks(cur, bounds, adjacent, chosen, 0, 0)
+            for plan, chosen in searches:
+                bad |= _completing_ranks(cur, plan, chosen, 0, 0)
             grown += [tuple([v if v < a else v + 1 for v in cur]) + (a,) for a in range(1, m + 2) if not bad >> a & 1]
         level = grown
     return tuple(level)

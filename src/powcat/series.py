@@ -249,12 +249,14 @@ def _biv_at_z_eq_y(p):
 
 
 def _div_by_one_minus_y(p):
-    """Exact quotient p / (1 - y); p must vanish at y = 1."""
-    if not p:
-        return {}
+    """Exact quotient p / (1 - y); p must vanish at y = 1.  Per power of z,
+    the quotient's y^h coefficient is the sum of p's up to y^h."""
+    by_k: dict[int, dict[int, int]] = {}
+    for (h, k), v in p.items():
+        by_k.setdefault(k, {})[h] = v
     out: dict[tuple[int, int], int] = {}
-    for k in {k for (_, k) in p}:
-        cs = {h: v for (h, kk), v in p.items() if kk == k}
+    for k in sorted(by_k):
+        cs = by_k[k]
         run = 0
         top = max(cs)
         for h in range(0, top + 1):

@@ -257,6 +257,47 @@ def test_growth_consistency_catches_breakage():
         growth_mod.FAMILIES = original
 
 
+def _plant(monkeypatch, family, children):
+    """Replace the growth of family, for one test, by children(obj, real)."""
+    import dataclasses
+
+    real = FAMILIES[family]
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(real, children=lambda obj: children(obj, real.children)))
+
+
+def test_growth_consistency_names_a_dropped_child(monkeypatch):
+    _plant(monkeypatch, "cat", lambda e, kids: kids(e)[:-1])
+    violations = growth_consistency("cat", 2).violations
+    # 0 grows into 0,0 and 0,1; without its last child the production
+    # falls short and 0,1 is never made
+    assert violations[:2] == (
+        "size 1: 0 label (1,) produced [((1,), 1)], rule says [((1,), 1), ((2,), 1)]",
+        "size 2: 0,1 never generated",
+    )
+    assert "size 3: 0,1,2 never generated" in violations
+
+
+def test_growth_consistency_names_a_duplicated_child(monkeypatch):
+    _plant(monkeypatch, "pcat:tree", lambda t, kids: kids(t) + kids(t)[:1])
+    violations = growth_consistency("pcat:tree", 2).violations
+    assert "size 2: 0(1,2) generated 2 times" in violations
+    assert "size 3: 0(1,2,3) generated 2 times" in violations
+    assert violations[0].startswith("size 1: 0(1) label (1,) produced")
+
+
+def test_growth_consistency_names_a_non_member_child(monkeypatch):
+    # an entry one too large after the last one: 0 gets the child 0,2
+    _plant(monkeypatch, "cat2", lambda e, kids: kids(e) + [(InversionSequence(e.entries + (len(e) + 1,)), (0, len(e) + 1))])
+    violations = growth_consistency("cat2", 2).violations
+    for text in (
+        "size 1: child 0,2 of 0 fails membership",
+        "size 2: 0,2 generated 1 times",
+        "size 2: child 0,1,3 of 0,1 fails membership",
+        "size 3: 0,1,3 generated 1 times",
+    ):
+        assert text in violations
+
+
 def test_label_agreement_between_parent_and_child():
     for family in ("cat2", "semi", "steady", "p1234"):
         fam = FAMILIES[family]

@@ -3,26 +3,31 @@
 The steady-path conditions get an independently written brute-force oracle
 (_steady_ok below, a literal transcription of the definition with quadratic
 scans) and validate() must agree with it on every U/D/W word up to length 9.
+is_valid() must return exactly validate().ok, exhaustively over the same
+words for all four kinds and over every small integer tuple.
 """
 from itertools import product
 
 import pytest
 
-from powcat.errors import ParseError
+from powcat.errors import MembershipError, ParseError
 from powcat.objects import (
     InversionSequence,
     LatticePath,
     OrderedTree,
     PathKind,
     Permutation,
+    is_valid,
     make_path,
     parse_object,
     path_points,
     path_statistics,
+    path_valleys,
+    require_valid,
     to_text,
     validate,
 )
-from powcat.patterns import dyck_words, enumerate_class, steady_words
+from powcat.patterns import dyck_words, enumerate_class, increasing_ordered_trees, steady_words
 
 
 # -- validation ---------------------------------------------------------------
@@ -148,6 +153,133 @@ def test_validate_agrees_with_brute_force_oracle_on_all_words():
         for word in product("UDW", repeat=length):
             steps = "".join(word)
             assert validate(make_path(steps, kind=PathKind.STEADY)).ok == _steady_ok(steps), steps
+
+
+# -- the boolean membership test ------------------------------------------------
+
+
+def _markings(steps):
+    """Zero marks, marks at the valley heights (the largest in range, so
+    every W-blocked valley above the axis carries a nonzero mark), and
+    marks out of range: the first valley's above it, the last one's (when
+    there are two or more valleys) below it.  An unmarked kind only needs
+    the first two: any nonzero mark breaks it."""
+    heights = [h for _, h in path_valleys(steps)]
+    if not heights:
+        return [()]
+    zero = (0,) * len(heights)
+    out_of_range = (heights[0] + 1,) + zero[1:-1] + ((-1,) if len(heights) > 1 else ())
+    return [zero, tuple(heights), out_of_range]
+
+
+def test_is_valid_is_validate_ok_on_every_path_word():
+    paths = [
+        LatticePath(steps, marks, kind)
+        for steps in ("".join(w) for length in range(1, 10) for w in product("UDW", repeat=length))
+        for markings in [_markings(steps)]
+        for kind in PathKind
+        for marks in (markings if kind.marked else markings[:2])
+    ]
+    assert len(paths) > 200_000
+    assert [p for p in paths if is_valid(p) != validate(p).ok] == []
+
+
+def test_is_valid_is_validate_ok_on_every_small_integer_tuple():
+    objs = [
+        make(values)
+        for n in range(0, 7)
+        for values in product(range(-1, n + 1), repeat=n)
+        for make in (InversionSequence, Permutation)
+    ]
+    assert [o for o in objs if is_valid(o) != validate(o).ok] == []
+
+
+def _tree_variants(t):
+    """t, t with its root's children reversed, t with its labels 1 and 2
+    swapped, and t with its root relabeled to its largest label + 1."""
+    def relabel(node, f):
+        return OrderedTree(f(node.label), tuple(relabel(c, f) for c in node.children))
+
+    n = len(t.preorder_labels()) - 1
+    yield t
+    yield OrderedTree(t.label, t.children[::-1])
+    yield relabel(t, lambda v: {1: 2, 2: 1}.get(v, v))
+    yield OrderedTree(n + 1, t.children)
+
+
+def test_is_valid_is_validate_ok_on_trees_and_their_non_members():
+    seen_invalid = 0
+    for n in range(0, 6):
+        for t in increasing_ordered_trees(n):
+            for variant in _tree_variants(t):
+                ok = is_valid(variant)
+                assert ok == validate(variant).ok, to_text(variant)
+                seen_invalid += not ok
+    assert seen_invalid > 1000
+
+
+def test_is_valid_walks_deep_trees_without_recursion():
+    t = OrderedTree(3000)
+    for label in range(2999, -1, -1):
+        t = OrderedTree(label, (t,))
+    assert is_valid(t)
+
+
+def test_is_valid_rejects_other_types():
+    with pytest.raises(TypeError):
+        is_valid((0, 1))
+
+
+@pytest.mark.parametrize(
+    "obj, what, message",
+    [
+        (InversionSequence((0, 2)), "an inversion sequence", "0,2 is not an inversion sequence: e_2 = 2 violates 0 <= e_2 < 2"),
+        (InversionSequence(()), "an inversion sequence", " is not an inversion sequence: length must be at least 1"),
+        (Permutation((1, 1, 2)), "a permutation", "1,1,2 is not a permutation: value 1 repeated"),
+        (Permutation((3, 0, 1)), "a permutation", "3,0,1 is not a permutation: value 0 outside 1..3"),
+        (make_path("UDDU", kind=PathKind.DYCK), "a Dyck path", "UDDU is not a Dyck path: point (3,-1) below the x-axis"),
+        (make_path("UUWDDD", kind=PathKind.DYCK), "a Dyck path", "UUWDDD is not a Dyck path: W step in a Dyck-kind path"),
+        (
+            make_path("UUDDUUUWUDDDDD", kind=PathKind.STEADY),
+            "a steady path",
+            "UUDDUUUWUDDDDD is not a steady path: UU factor ending at (6,2) is followed by point (6,4) above the line y = x - 4",
+        ),
+        (make_path("UUWDDD", kind=PathKind.STEADY), "a steady path", "UUWDDD is not a steady path: point (1,3) outside the cone 0 <= y <= x"),
+        (
+            LatticePath("UUDUDD", (2,), PathKind.VMDYCK),
+            "a valley-marked Dyck path",
+            "UUDUDD;marks=2 is not a valley-marked Dyck path: valley 1 at height 1 has mark 2 outside 0..1",
+        ),
+        (
+            LatticePath("UUDUDDUWUUDDDD", (1, 0), PathKind.VMSTEADY),
+            "a valley-marked steady path",
+            "UUDUDDUWUUDDDD;marks=1,0 is not a valley-marked steady path: valley 1 with nontrivial mark at height 1 "
+            "sits left of the W step at index 8 at the same height",
+        ),
+        (
+            LatticePath("UDUWUUDDUDDD", (0, 2), PathKind.VMSTEADY),
+            "a valley-marked steady path",
+            "UDUWUUDDUDDD;marks=0,2 is not a valley-marked steady path: valley 2 at height 2 with nontrivial mark "
+            "lies above the W step at index 4 (height 1)",
+        ),
+        (LatticePath("UDUD", (1,), PathKind.STEADY), "a steady path", "UDUD is not a steady path: valley 1 carries mark 1 != 0"),
+        (
+            parse_object("0(1(3)2)", "tree"),
+            "an increasing-leaves tree",
+            "0(1(3)2) is not an increasing-leaves tree: pre-order leaves ...3,2... are not increasing",
+        ),
+        (
+            OrderedTree(0, (OrderedTree(2, (OrderedTree(1),)),)),
+            "an increasing-leaves tree",
+            "0(2(1)) is not an increasing-leaves tree: child 1 does not exceed parent 2",
+        ),
+        (OrderedTree(1, (OrderedTree(2),)), "an increasing-leaves tree", "1(2) is not an increasing-leaves tree: root labeled 1, expected 0"),
+    ],
+)
+def test_require_valid_words_the_first_violation(obj, what, message):
+    with pytest.raises(MembershipError) as err:
+        require_valid(obj, what)
+    assert str(err.value) == message
 
 
 def test_every_dyck_word_is_a_steady_path():

@@ -1,4 +1,5 @@
 """Avoidance oracles, enumerators, and the structural characterizations."""
+import operator
 from itertools import combinations, product
 from itertools import permutations as iperm
 from math import prod
@@ -74,6 +75,46 @@ def test_triple_oracle_agrees_with_naive_scan():
                 for k in range(j + 1, n)
             )
             assert avoids_triple(InversionSequence(e), r) == naive, e
+
+
+LITERAL_RELATIONS = {
+    "lt": operator.lt,
+    "gt": operator.gt,
+    "leq": operator.le,
+    "geq": operator.ge,
+    "eq": operator.eq,
+    "neq": operator.ne,
+    "dash": lambda a, b: True,
+}
+
+
+def test_triple_oracle_matches_the_literal_loop_for_every_triple():
+    # values -1..3 exercise the shift onto 0..n-1; the value triples at
+    # positions i < j < k of each tuple are collected once by the literal
+    # loop, and a tuple contains the triple exactly when one of them meets
+    # all three relations
+    tuples = [v for n in range(0, 6) for v in product(range(-1, 4), repeat=n)]
+    at_positions = [
+        {(v[i], v[j], v[k]) for i in range(len(v)) for j in range(i + 1, len(v)) for k in range(j + 1, len(v))}
+        for v in tuples
+    ]
+    mismatches = []
+    for rels in product(LITERAL_RELATIONS, repeat=3):
+        r1, r2, r3 = (LITERAL_RELATIONS[r] for r in rels)
+        hits = {(a, b, c) for a, b, c in product(range(-1, 4), repeat=3) if r1(a, b) and r2(b, c) and r3(a, c)}
+        triple = RelationTriple(*rels)
+        mismatches += [
+            (rels, v) for v, seen in zip(tuples, at_positions) if avoids_triple(v, triple) != seen.isdisjoint(hits)
+        ]
+    assert mismatches == []
+
+
+def test_triple_oracle_is_exact_for_spread_out_values():
+    # values spanning more than the length go through ranks, not a shift
+    gt_gt_dash = RelationTriple("gt", "gt", "dash")
+    assert not avoids_triple((100, -7, -50), gt_gt_dash)
+    assert avoids_triple((-50, 100, -7), gt_gt_dash)
+    assert not avoids_triple((10**30, 10**30, 5), RelationTriple("eq", "gt", "gt"))
 
 
 # -- word oracle ----------------------------------------------------------------
@@ -169,6 +210,32 @@ def test_bijection_codomain_patterns_agree_with_naive_matchers():
             p = Permutation(v)
             assert avoids_vincular(p, pat_1342) == naive_1342(v), v
             assert avoids_vincular(p, pat_2143) == naive_2143(v), v
+
+
+def _occurrence_shapes(v, lengths):
+    """For each standardized subsequence of v of the given lengths, the sets
+    of its adjacent pattern positions (i where entries i and i+1 sit at
+    consecutive positions of v), over every choice of positions."""
+    shapes = {}
+    for k in lengths:
+        for pos in combinations(range(len(v)), k):
+            sub = [v[q] for q in pos]
+            std = tuple(sorted(sub).index(x) + 1 for x in sub)
+            shapes.setdefault(std, set()).add(frozenset(i for i in range(1, k) if pos[i] == pos[i - 1] + 1))
+    return shapes
+
+
+def test_vincular_oracle_matches_brute_force_over_position_subsets():
+    pats = [VincularPattern.parse(t) for t in ("1-23", "2-14-3", "1-34-2", "1-23-4", "1-3-2", "2-4-1-3")]
+    mismatches = []
+    for n in range(1, 8):
+        for v in iperm(range(1, n + 1)):
+            shapes = _occurrence_shapes(v, (3, 4))
+            for pat in pats:
+                contains = any(pat.adjacent <= adj for adj in shapes.get(pat.perm, ()))
+                if avoids_vincular(v, pat) == contains:
+                    mismatches.append((str(pat), v))
+    assert mismatches == []
 
 
 # -- enumerate_class ------------------------------------------------------------------
