@@ -27,6 +27,7 @@ from .objects import (
     last_descent_length,
     make_path,
     path_from_up_points,
+    root_child_bounds,
     to_text,
     require_valid,
     up_step_points,
@@ -140,52 +141,28 @@ def semi_label(e: InversionSequence) -> Label:
     return (max(v) - _last_non_ltr(v, 0) + 1, len(v) - max(v))
 
 
-def _rightmost_entry_children(family: str, e: InversionSequence):
-    """Admissible rightmost entries and bookkeeping labels for one of the four
-    rightmost-entry families."""
-    v = e.entries
-    n = len(v)
-    mx = max(v)
-    k = n - mx
-    out = []
-    if family == "cat2":
-        h = mx - _mwd(v)
-        lo = _mwd(v) + 1
-        for p in range(lo, mx + 1):
-            out.append((p, (0, k + 1)))
-    elif family == "i-geq3":
-        last = _last_non_ltr(v, -1)
-        h = mx - last
-        for p in range(last + 1, mx + 1):
-            out.append((p, (mx - p, k + 1)))
-    elif family == "bax":
-        last = _last_non_ltr(v, 0)
-        case_a = _bax_case_a(v)
-        h = mx - last + 1 if case_a else mx - last
-        lo = last if case_a else last + 1
-        for p in range(lo, mx):
-            out.append((p, (mx - p, k + 1)))
-        out.append((mx, (1, k + 1)))
-    elif family == "semi":
-        last = _last_non_ltr(v, 0)
-        h = mx - last + 1
-        for p in range(last, mx + 1):
-            out.append((p, (mx - p + 1, k + 1)))
-    else:
-        raise KeyError(f"unknown rightmost-entry family {family!r}")
-    for d in range(1, k + 1):
-        out.append((mx + d, (h + d, k - d + 1)))
-    return out
+# each family's label (h, k) and the first label component of the child whose
+# new entry p is at most max(e), as a function of max(e) - p
+_RIGHTMOST = {
+    "cat2": (cat2_label, lambda d: 0),
+    "i-geq3": (igeq3_label, lambda d: d),
+    "bax": (bax_label, lambda d: max(d, 1)),
+    "semi": (semi_label, lambda d: d + 1),
+}
 
 
 def children_rightmost_entry(family: str, e: InversionSequence):
-    """Children of e by adding a new rightmost entry, with their labels."""
+    """Children of e by adding a new rightmost entry, with their labels: with
+    (h, k) the label of e, the new entries are max(e) - h + 1 .. max(e) + k,
+    and the one d above max(e) gets the label (h + d, k - d + 1)."""
     membership = "cat" if family == "cat2" else family
     _require_member(e, _invseq_class(membership), f"an inversion sequence of family {membership}")
-    return [
-        (InversionSequence(e.entries + (p,)), lab)
-        for p, lab in _rightmost_entry_children(family, e)
-    ]
+    label, first = _RIGHTMOST[family]
+    h, k = label(e)
+    mx = max(e.entries)
+    out = [(p, (first(mx - p), k + 1)) for p in range(mx - h + 1, mx + 1)]
+    out += [(mx + d, (h + d, k - d + 1)) for d in range(1, k + 1)]
+    return [(InversionSequence(e.entries + (p,)), lab) for p, lab in out]
 
 
 # -- powered Catalan inversion sequences -------------------------------------------
@@ -339,27 +316,24 @@ def vmdyck_children(path: LatticePath):
 
 
 def tree_label(t: OrderedTree) -> Label:
-    return (len(t.children),)
+    return (t.arity[0],)
 
 
 def tree_children(t: OrderedTree):
     """Children by relabel-and-insert: bump every positive label, then hang a
     new vertex 1 under the root over a contiguous bunch of root edges; the
-    empty bunch goes in the leftmost gap so leaf 1 stays first in pre-order."""
+    empty bunch goes in the leftmost gap so leaf 1 stays first in pre-order,
+    and vertex 1 goes in before the first root child of its bunch."""
     require_valid(t, "an increasing-leaves tree")
-
-    def bump(node):
-        return OrderedTree(node.label + 1 if node.label > 0 else 0, tuple(bump(c) for c in node.children))
-
-    base = bump(t)
-    k = len(base.children)
-    out = [(OrderedTree(0, (OrderedTree(1),) + base.children), (k + 1,))]
-    for b in range(1, k + 1):
-        for start in range(k - b + 1):
-            bunch = base.children[start : start + b]
-            new_child = OrderedTree(1, bunch)
-            kids = base.children[:start] + (new_child,) + base.children[start + b :]
-            out.append((OrderedTree(0, kids), (k - b + 1,)))
+    labels = (0,) + tuple(v + 1 for v in t.labels[1:])  # the root alone is 0
+    arity = t.arity
+    k = arity[0]
+    bounds = root_child_bounds(arity)
+    with_1 = [labels[:p] + (1,) + labels[p:] for p in bounds]  # shared by the children
+    out = []
+    for b, start in [(0, 0)] + [(b, start) for b in range(1, k + 1) for start in range(k - b + 1)]:
+        p = bounds[start]
+        out.append((OrderedTree._from_flat(with_1[start], (k - b + 1,) + arity[1:p] + (b,) + arity[p:]), (k - b + 1,)))
     return out
 
 
@@ -429,7 +403,8 @@ def growth_consistency(family: str, n_max: int) -> GrowthReport:
     multisets equal the rule productions, labels recomputed on children match
     the emitted ones, and each member of size s+1 has exactly one parent.
     Each size is enumerated once: the members of size s+1 are the next
-    parents."""
+    parents.  Children and members are counted by value; text only words
+    a violation."""
     fam = FAMILIES[family]
     violations = []
     checked = 0
@@ -456,14 +431,14 @@ def growth_consistency(family: str, n_max: int) -> GrowthReport:
                     )
                 if fam.parent is not None and fam.parent(child) != obj:
                     violations.append(f"size {s}: parent of {to_text(child)} is not {to_text(obj)}")
-                produced[to_text(child)] += 1
+                produced[child] += 1
         members = fam.enumerate(s + 1)
-        next_members = Counter(map(to_text, members))
+        next_members = Counter(members)
         if produced != next_members:
             extra = produced - next_members
             missing = next_members - produced
-            for key in list(extra)[:3]:
-                violations.append(f"size {s + 1}: {key} generated {produced[key]} times")
-            for key in list(missing)[:3]:
-                violations.append(f"size {s + 1}: {key} never generated")
+            for obj in list(extra)[:3]:
+                violations.append(f"size {s + 1}: {to_text(obj)} generated {produced[obj]} times")
+            for obj in list(missing)[:3]:
+                violations.append(f"size {s + 1}: {to_text(obj)} never generated")
     return GrowthReport(family, n_max, checked, tuple(violations))

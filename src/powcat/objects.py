@@ -19,6 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain, count
+from operator import sub
 
 from .errors import MembershipError, ParseError
 
@@ -112,34 +114,55 @@ def make_path(steps: str, marks=None, kind: PathKind | str = PathKind.DYCK) -> L
     return LatticePath(steps, tuple(marks), kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OrderedTree:
-    """Ordered rooted tree with integer vertex labels."""
+    """Ordered rooted tree with integer vertex labels, stored in pre-order
+    (Knuth, TAOCP vol. 1, 2.3.3): labels[i] and arity[i] are the label and
+    the child count of the i-th vertex, so no walk or comparison recurses.
+    OrderedTree(label, children) hangs built trees under a new root."""
 
-    label: int
-    children: tuple["OrderedTree", ...] = ()
+    labels: tuple[int, ...]
+    arity: tuple[int, ...]
+
+    def __init__(self, label: int, children=()):
+        children = tuple(children)
+        object.__setattr__(self, "labels", (label,) + tuple(chain.from_iterable(c.labels for c in children)))
+        object.__setattr__(self, "arity", (len(children),) + tuple(chain.from_iterable(c.arity for c in children)))
+
+    @classmethod
+    def _from_flat(cls, labels: tuple[int, ...], arity: tuple[int, ...]) -> OrderedTree:
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "labels", labels)
+        object.__setattr__(tree, "arity", arity)
+        return tree
+
+    @property
+    def label(self) -> int:
+        return self.labels[0]
+
+    @property
+    def children(self) -> tuple[OrderedTree, ...]:
+        b = root_child_bounds(self.arity)
+        return tuple(OrderedTree._from_flat(self.labels[i:j], self.arity[i:j]) for i, j in zip(b, b[1:]))
 
     @property
     def size(self) -> int:
-        """Number of non-root vertices when rooted at this node's subtree."""
-        return self.vertex_count() - 1
-
-    def vertex_count(self) -> int:
-        return 1 + sum(c.vertex_count() for c in self.children)
+        """Number of non-root vertices."""
+        return len(self.labels) - 1
 
     def preorder_labels(self) -> list[int]:
-        out = [self.label]
-        for c in self.children:
-            out.extend(c.preorder_labels())
-        return out
+        return list(self.labels)
 
-    def preorder_leaves(self) -> list[int]:
-        if not self.children:
-            return [self.label]
-        out = []
-        for c in self.children:
-            out.extend(c.preorder_leaves())
-        return out
+
+def root_child_bounds(arity: tuple[int, ...]) -> list[int]:
+    """Pre-order start of each root child, then the vertex count.  After
+    vertex i, sum(arity[:i + 1]) - i vertices are still owed; that falls by
+    at most one a vertex and first hits k - c at the end of root child c."""
+    owed = list(map(sub, accumulate(arity), count()))
+    bounds = [1]
+    for left in range(arity[0] - 1, -1, -1):
+        bounds.append(owed.index(left, bounds[-1]) + 1)
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -440,37 +463,34 @@ def _validate_path(path: LatticePath) -> list[Violation]:
     return out
 
 
+def _parent_labels(t: OrderedTree):
+    """The label of each vertex's parent in pre-order (-inf for the root),
+    from a stack with one entry for every child still to come: the parent
+    of the next vertex is always the last one pushed."""
+    above = [float("-inf")]
+    for label, kids in zip(t.labels, t.arity):
+        yield above.pop()
+        above += [label] * kids
+
+
 def _validate_tree(t: OrderedTree) -> list[Violation]:
-    out = []
-    labels = t.preorder_labels()
+    labels = t.labels
     n = len(labels) - 1
-    if t.label != 0:
-        out.append(Violation("root", 1, f"root labeled {t.label}, expected 0"))
+    out = []
+    if labels[0] != 0:
+        out.append(Violation("root", 1, f"root labeled {labels[0]}, expected 0"))
     if sorted(labels) != list(range(n + 1)):
         out.append(Violation("labels", 0, f"labels {sorted(labels)} are not 0..{n}"))
-
-    def walk(node, pos):
-        for c in node.children:
-            pos += 1
-            if c.label <= node.label:
-                out.append(
-                    Violation("increasing", pos, f"child {c.label} does not exceed parent {node.label}")
-                )
-            pos = walk(c, pos)
-        return pos
-
-    walk(t, 1)
-    leaves = t.preorder_leaves()
-    for i in range(1, len(leaves)):
-        if leaves[i] <= leaves[i - 1]:
-            out.append(
-                Violation(
-                    "increasing-leaves",
-                    i + 1,
-                    f"pre-order leaves ...{leaves[i - 1]},{leaves[i]}... are not increasing",
-                )
-            )
-    return out
+    leaves, leaf_order = [], []
+    for pos, (label, above, kids) in enumerate(zip(labels, _parent_labels(t), t.arity), start=1):
+        if label <= above:
+            out.append(Violation("increasing", pos, f"child {label} does not exceed parent {above}"))
+        if not kids:
+            if leaves and label <= leaves[-1]:
+                detail = f"pre-order leaves ...{leaves[-1]},{label}... are not increasing"
+                leaf_order.append(Violation("increasing-leaves", len(leaves) + 1, detail))
+            leaves.append(label)
+    return out + leaf_order
 
 
 def validate(obj) -> ValidationReport:
@@ -535,27 +555,18 @@ def _path_ok(path: LatticePath) -> bool:
 
 
 def _tree_ok(t: OrderedTree) -> bool:
-    """Pre-order walk with an explicit stack of (vertex, its parent's label):
-    root 0, every child above its parent, leaves increasing, and the labels
-    0..n.  Labels 0..n are >= 0, so -1 can stand for no parent and no leaf
-    yet; any other labels fail the last test."""
-    labels = []
+    """One pre-order pass: root 0, every child above its parent, leaves
+    increasing, and the labels 0..n.  Labels 0..n are >= 0, so -1 can stand
+    for no leaf yet; any other labels fail the last test."""
     last_leaf = -1
-    stack = [(t, -1)]
-    while stack:
-        node, above = stack.pop()
-        label = node.label
+    for label, above, kids in zip(t.labels, _parent_labels(t), t.arity):
         if label <= above:
             return False
-        labels.append(label)
-        if node.children:
-            for c in reversed(node.children):
-                stack.append((c, label))
-        elif label <= last_leaf:
-            return False
-        else:
+        if not kids:
+            if label <= last_leaf:
+                return False
             last_leaf = label
-    return t.label == 0 and sorted(labels) == list(range(len(labels)))
+    return t.labels[0] == 0 and sorted(t.labels) == list(range(len(t.labels)))
 
 
 def is_valid(obj) -> bool:
@@ -610,11 +621,12 @@ def parse_path_text(text: str, kind: PathKind | str) -> LatticePath:
 
 
 def parse_tree_text(text: str) -> OrderedTree:
-    """Parse nested label lists with an explicit stack of open vertices, so
-    the nesting depth is bounded by memory, not by the recursion limit."""
+    """Parse nested label lists straight into the pre-order tuples, with an
+    explicit stack of open vertices, so the nesting depth is bounded by
+    memory, not by the recursion limit."""
     text = text.strip()
-    stack = []  # open vertices, innermost last: (label, the siblings before it)
-    nodes = []  # finished vertices of the innermost open list
+    labels, arity = [], []
+    stack = []  # pre-order indices of the open vertices, innermost last
     pos = 0
     while True:
         if pos < len(text) and text[pos] != ")":
@@ -626,27 +638,26 @@ def parse_tree_text(text: str) -> OrderedTree:
                 pos += 1
             if pos == start:
                 raise ParseError(f"expected a label, got {text[pos]!r}", position=pos + 1)
-            label = int(text[start:pos])
+            if stack:
+                arity[stack[-1]] += 1
+            labels.append(int(text[start:pos]))
+            arity.append(0)
             if pos < len(text) and text[pos] == "(":
-                stack.append((label, nodes))
-                nodes = []
+                stack.append(len(labels) - 1)
                 pos += 1
-            else:
-                nodes.append(OrderedTree(label))
             continue
         if not stack:
             break
         if pos == len(text):
             raise ParseError("unbalanced parentheses", position=pos + 1)
-        label, siblings = stack.pop()
-        siblings.append(OrderedTree(label, tuple(nodes)))
-        nodes = siblings
+        stack.pop()
         pos += 1
     if pos != len(text):
         raise ParseError("trailing input after tree", position=pos + 1)
-    if len(nodes) != 1:
-        raise ParseError(f"expected one root, found {len(nodes)}", position=1)
-    return nodes[0]
+    roots = len(labels) - sum(arity)  # every vertex but a root has a parent
+    if roots != 1:
+        raise ParseError(f"expected one root, found {roots}", position=1)
+    return OrderedTree._from_flat(tuple(labels), tuple(arity))
 
 
 def parse_object(text: str, kind: str):
@@ -694,24 +705,28 @@ def to_text(obj) -> str:
         # a label above 9 has two digits, and in the narrow form no two
         # digits of different labels touch
         text = _tree_text(obj, False)
-        if re.search(r"\d\d", text) and any(l > 9 for l in obj.preorder_labels()):
+        if re.search(r"\d\d", text) and max(obj.labels) > 9:
             return _tree_text(obj, True)
         return text
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _tree_text(t: OrderedTree, wide: bool) -> str:
-    """Siblings are written side by side, with a comma after a childless one
-    (whose digits would otherwise run into the next label) and after every
-    one when some label has more than one digit."""
-    if not t.children:
-        return str(t.label)
-    parts = [str(t.label), "("]
-    prev = None
-    for c in t.children:
-        if prev is not None and (wide or not prev.children):
+    """One pre-order pass.  Siblings are written side by side, with a comma
+    after a childless one (whose digits would otherwise run into the next
+    label) and after every one when some label has more than one digit."""
+    parts = []
+    owed = []  # children still to come of each open vertex, innermost last
+    for label, kids in zip(t.labels, t.arity):
+        if parts and parts[-1] != "(" and (wide or parts[-1] != ")"):
             parts.append(",")
-        parts.append(_tree_text(c, wide))
-        prev = c
-    parts.append(")")
+        parts.append(str(label))
+        if owed:
+            owed[-1] -= 1
+        if kids:
+            parts.append("(")
+            owed.append(kids)
+        while owed and not owed[-1]:
+            owed.pop()
+            parts.append(")")
     return "".join(parts)

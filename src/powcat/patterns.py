@@ -612,22 +612,24 @@ def _grow_trees(n, leaves_increasing: bool) -> tuple[OrderedTree, ...]:
     """Increasing ordered trees on 0..n built from the root alone by placing
     n, n-1, .., 1 under the root in turn, each over a run of consecutive root
     children (which become its children) or as a leaf in a gap between them;
-    with leaves_increasing, a new leaf goes in the leftmost gap only.
-    Siblings of the new vertex are shared, not copied."""
+    with leaves_increasing, a new leaf goes in the leftmost gap only.  The
+    search keeps an explicit stack of the root's children (pre-order labels
+    and arities, each child's start, then their end) and the next vertex,
+    which goes in before the first child of its run i..j; a leaf is i..i."""
     out = []
-
-    def extend(kids, v):
+    stack = [((), (), (0,), n)]
+    while stack:
+        labels, arity, starts, v = stack.pop()
+        k = len(starts) - 1
         if v == 0:
-            out.append(OrderedTree(0, kids))
-            return
-        k = len(kids)
-        for g in range(1 if leaves_increasing else k + 1):
-            extend(kids[:g] + (OrderedTree(v),) + kids[g:], v - 1)
-        for i in range(k):
-            for j in range(i + 1, k + 1):
-                extend(kids[:i] + (OrderedTree(v, kids[i:j]),) + kids[j:], v - 1)
-
-    extend((), n)
+            out.append(OrderedTree._from_flat((0,) + labels, (k,) + arity))
+            continue
+        runs = [(g, g) for g in range(1 if leaves_increasing else k + 1)]
+        runs += [(i, j) for i in range(k) for j in range(i + 1, k + 1)]
+        for i, j in reversed(runs):
+            p = starts[i]
+            shifted = starts[: i + 1] + tuple(s + 1 for s in starts[j:])
+            stack.append((labels[:p] + (v,) + labels[p:], arity[:p] + (j - i,) + arity[p:], shifted, v - 1))
     return tuple(out)
 
 

@@ -1,9 +1,14 @@
 """The command-line surface: payloads, formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import powcat
 from powcat.cli import export_table, run_command
 from powcat.errors import SIZE_LIMITS
 
@@ -312,3 +317,15 @@ def test_export_table_is_byte_stable(tmp_path):
     assert (tmp_path / "t.csv").read_text() == text
     as_json = export_table({"b": 1, "a": 2}, "json")
     assert as_json == '{"a":2,"b":1}\n'
+
+
+@pytest.mark.parametrize("n, code", [(5, 0), (SIZE_LIMITS["tree"][0] - 1, 2), (SIZE_LIMITS["tree"][1] + 1, 2)])
+def test_python_dash_m_powcat_runs_the_cli(n, code):
+    argv = ["count", "--family", "tree", "--n", str(n)]
+    src = str(Path(powcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "powcat", *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == run(argv)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == "" and "outside" in proc.stderr

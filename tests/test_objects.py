@@ -6,11 +6,13 @@ scans) and validate() must agree with it on every U/D/W word up to length 9.
 is_valid() must return exactly validate().ok, exhaustively over the same
 words for all four kinds and over every small integer tuple.
 """
+import sys
 from itertools import product
 
 import pytest
 
 from powcat.errors import MembershipError, ParseError
+from powcat.growth import FAMILIES
 from powcat.objects import (
     InversionSequence,
     LatticePath,
@@ -223,6 +225,51 @@ def test_is_valid_walks_deep_trees_without_recursion():
     for label in range(2999, -1, -1):
         t = OrderedTree(label, (t,))
     assert is_valid(t)
+
+
+def _deep_trees():
+    """A 3,000-deep chain and a 3,000-leaf star, each as text and as built
+    from OrderedTree(label, children)."""
+    depth = 3000
+    chain = OrderedTree(depth)
+    for label in range(depth - 1, -1, -1):
+        chain = OrderedTree(label, (chain,))
+    star = OrderedTree(0, [OrderedTree(v) for v in range(1, depth + 1)])
+    return [
+        ("(".join(map(str, range(depth + 1))) + ")" * depth, chain),
+        ("0(" + ",".join(map(str, range(1, depth + 1))) + ")", star),
+    ]
+
+
+@pytest.mark.parametrize("text, built", _deep_trees(), ids=["chain", "star"])
+def test_deep_trees_pass_every_tree_operation_without_recursion(text, built):
+    assert sys.getrecursionlimit() <= 3000
+    t = parse_object(text, "tree")
+    report = validate(t)
+    assert report.ok == is_valid(t) and report.ok
+    assert to_text(t) == text and parse_object(to_text(t), "tree") == t
+    assert t.size == built.size == 3000
+    assert t == built and hash(t) == hash(built)
+
+
+def test_deep_trees_grow():
+    grow = FAMILIES["pcat:tree"].children
+    chain_text, _ = _deep_trees()[0]
+    assert len(grow(parse_object(chain_text, "tree"))) == 2
+    # a star with k leaves has 1 + k(k+1)/2 children
+    star = OrderedTree(0, [OrderedTree(v) for v in range(1, 101)])
+    assert len(grow(star)) == 5051
+
+
+def test_trees_are_equal_exactly_when_their_texts_are():
+    trees = [variant for n in range(0, 6) for t in increasing_ordered_trees(n) for variant in _tree_variants(t)]
+    by_text = {}
+    for t in trees:
+        by_text.setdefault(to_text(t), []).append(t)
+        assert OrderedTree(t.label, t.children) == t
+    for group in by_text.values():
+        assert all(t == group[0] and hash(t) == hash(group[0]) for t in group)
+    assert len(set(trees)) == len(by_text)
 
 
 def test_is_valid_rejects_other_types():
