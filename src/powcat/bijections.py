@@ -90,7 +90,7 @@ def steady_encoding(path: LatticePath) -> tuple[int, ...]:
 
 
 def steady_to_perm(path: LatticePath) -> Permutation:
-    require_valid(make_path(path.steps, kind=PathKind.STEADY), "a steady path")
+    require_valid(_as_kind(path, PathKind.STEADY), "a steady path")
     p = left_inversion_table_inverse(steady_encoding(path))
     if not avoids_vincular(p, PAT_1_34_2):
         raise AssertionError(f"image {to_text(p)} escaped AV(1-34-2)")
@@ -298,8 +298,8 @@ def theta_star(path: LatticePath) -> LatticePath:
 
 
 MAPS = {
-    "tinv": lambda obj: left_inversion_table(obj),
-    "tinv-inv": lambda obj: left_inversion_table_inverse(obj),
+    "tinv": left_inversion_table,
+    "tinv-inv": left_inversion_table_inverse,
     "cat-perm": catalan_invseq_to_perm,
     "cat-perm-inv": catalan_perm_to_invseq,
     "steady-perm": steady_to_perm,

@@ -226,7 +226,7 @@ def steady_label(path: LatticePath) -> Label:
 
 def steady_children(path: LatticePath):
     """Children by a new rightmost up step at each admissible height."""
-    steady = path if path.kind is PathKind.STEADY else make_path(path.steps, kind=PathKind.STEADY)
+    steady = path if path.kind is PathKind.STEADY else make_path(path.steps, path.marks, PathKind.STEADY)
     require_valid(steady, "a steady path")
     n = path.size
     pts = up_step_points(path.steps)

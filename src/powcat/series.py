@@ -5,13 +5,17 @@ polynomial in the auxiliary variable a is a pair (low, coeffs) standing for
 sum coeffs[i] * a^(low+i) over a dense integer list, and a power series in x
 truncated after x^order is a list of such pairs indexed by x-degree.  The one
 rational operation (division by (1+a)^3) is expanded only far enough to read
-off the a^0 term.  No floating point enters this module.
+off the a^0 term.  The functional-equation residual holds each x-level of
+A(y, z) as a list of dense y-coefficient rows indexed by the power of z.  No
+floating point enters this module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import add, itemgetter, sub
 
 from .errors import check_size
 from .gentree import label_distribution
@@ -222,84 +226,53 @@ def kernel_a11(order: int) -> list[int]:
 
 
 # -- functional-equation residual ----------------------------------------------------
-# Bivariate polynomials in (y, z) are dicts (h, k) -> int; one per x-level.
+# One x-level of A(y, z) is a list of rows indexed by the power of z: rows[k][h] is
+# the coefficient of y^h z^k.  All rows of all levels have one width, one more than
+# the largest label sum, and all levels one height, two more than the largest k, so
+# A(y, y), both quotients and their shifts by y and z fit; a shift that would still
+# push a nonzero coefficient off a row or level raises ArithmeticError.
 
 
-def _biv_add(out, terms):
-    """Add (key, coefficient) terms into out, dropping zero coefficients."""
-    for key, v in terms:
-        out[key] = out.get(key, 0) + v
-        if out[key] == 0:
-            del out[key]
-    return out
+def _rows(level, height, width):
+    """The level {(h, k): count} as height rows of width y-coefficients."""
+    rows = [[0] * width for _ in range(height)]
+    for (h, k), v in level.items():
+        rows[k][h] = v
+    return rows
 
 
-def _biv_sub(p, q):
-    return _biv_add(dict(p), ((key, -v) for key, v in q.items()))
+def _times_y(row, places=1):
+    """row * y^places in the same width."""
+    if any(row[len(row) - places :]):
+        raise ArithmeticError("a coefficient falls off the row")
+    return [0] * places + row[: len(row) - places]
 
 
-def _biv_at_y1(p):
-    """Substitute y = 1."""
-    return _biv_add({}, (((0, k), v) for (h, k), v in p.items()))
+def _equation_rhs(rows):
+    """z(A(1,z) - A(y,z))/(1-y) + yz(A(y,z) - A(y,y))/(z-y) from one level's rows.
 
-
-def _biv_at_z_eq_y(p):
-    """Substitute z = y."""
-    return _biv_add({}, (((h + k, 0), v) for (h, k), v in p.items()))
-
-
-def _div_by_one_minus_y(p):
-    """Exact quotient p / (1 - y); p must vanish at y = 1.  Per power of z,
-    the quotient's y^h coefficient is the sum of p's up to y^h."""
-    by_k: dict[int, dict[int, int]] = {}
-    for (h, k), v in p.items():
-        by_k.setdefault(k, {})[h] = v
-    out: dict[tuple[int, int], int] = {}
-    for k in sorted(by_k):
-        cs = by_k[k]
-        run = 0
-        top = max(cs)
-        for h in range(0, top + 1):
-            run += cs.get(h, 0)
-            if h < top and run:
-                out[(h, k)] = run
-        if run != 0:
-            raise ArithmeticError("polynomial is not divisible by (1 - y)")
-    return out
-
-
-def _div_by_z_minus_y(p):
-    """Exact quotient p / (z - y); p must vanish at z = y."""
-    if not p:
-        return {}
-    out: dict[tuple[int, int], int] = {}
-    # view as polynomial in z with coefficients in y: c_k(y)
-    by_k: dict[int, dict[int, int]] = {}
-    top_k = 0
-    for (h, k), v in p.items():
-        by_k.setdefault(k, {})[h] = v
-        top_k = max(top_k, k)
-    carry: dict[int, int] = {}
-    for k in range(top_k, 0, -1):
-        # quotient coefficient of z^(k-1) is c_k(y) + y * q_k(y)
-        qk = dict(by_k.get(k, {}))
-        for h, v in carry.items():
-            qk[h + 1] = qk.get(h + 1, 0) + v
-        qk = {h: v for h, v in qk.items() if v != 0}
-        for h, v in qk.items():
-            out[(h, k - 1)] = v
-        carry = qk
-    # remainder = c_0(y) + y * q_0(y) must vanish
-    rem = dict(by_k.get(0, {}))
-    for h, v in carry.items():
-        rem[h + 1] = rem.get(h + 1, 0) + v
-    if any(v != 0 for v in rem.values()):
-        raise ArithmeticError("polynomial is not divisible by (z - y)")
-    return out
-
-
-def _biv_shift(p, dh, dk):
-    return {(h + dh, k + dk): v for (h, k), v in p.items()}
+    Both quotients are exact divisions whose remainders must vanish.  For each
+    power of z, the first is the prefix sum of the y-coefficients of
+    A(1,z) - A(y,z), s - a_0, -a_1, -a_2, ... for a row a with sum s, and its
+    last entry is the remainder.  The second is the top-down carry
+    q_(k-1) = c_k + y q_k over the z^k rows c_k of A(y,z) - A(y,y), with
+    remainder c_0 - A(y,y) + y q_0.
+    """
+    diagonal = list(map(sum, zip(*(_times_y(row, k) for k, row in enumerate(rows)))))
+    carry = [0] * len(rows[0])  # q_k above the top row
+    out = []  # the z^(k+1) rows, top down
+    for row in reversed(rows):
+        _, *quotient = accumulate(row, sub, initial=sum(row))
+        if quotient[-1]:
+            raise ArithmeticError("A(1,z) - A(y,z) is not divisible by (1 - y)")
+        shifted = _times_y(carry)
+        out.append(list(map(add, quotient, shifted)))
+        carry = list(map(add, row, shifted))
+    if carry != diagonal:
+        raise ArithmeticError("A(y,z) - A(y,y) is not divisible by (z - y)")
+    if any(out[0]):
+        raise ArithmeticError("a coefficient falls off the level")
+    return [[0] * len(carry)] + out[:0:-1]
 
 
 @lru_cache(maxsize=None)
@@ -313,24 +286,24 @@ def functional_equation_residual(order: int):
     with A assembled from the i-geq3 rule's label distribution
     (x-degree = level, y-degree = h, z-degree = k).
 
-    Returns a list of per-level residual dicts for x^1..x^order; all empty
-    when the equation holds.  Both divided differences are performed as
-    exact polynomial quotients, whose remainders are asserted to vanish.
+    Returns one dict (h, k) -> coefficient of the nonzero residual terms per
+    level, for x^1..x^order; all empty when the equation holds.
     """
     check_size("residual", order)
     levels = _rule_levels(order)
-    a_levels = [dict(lvl) for lvl in levels]  # a_levels[m] is the x^(m+1) slice
+    height = 2 + max(max(map(itemgetter(1), level), default=0) for level in levels)
+    width = 1 + max(max(map(sum, level), default=0) for level in levels)
+    rhs = _rows({(1, 1): 1}, height, width)  # the xyz term
     residuals = []
-    for n in range(1, order + 1):
-        lhs = a_levels[n - 1]
-        rhs: dict[tuple[int, int], int] = {(1, 1): 1} if n == 1 else {}
-        if n >= 2:
-            prev = a_levels[n - 2]
-            q1 = _div_by_one_minus_y(_biv_sub(_biv_at_y1(prev), prev))
-            q2 = _div_by_z_minus_y(_biv_sub(prev, _biv_at_z_eq_y(prev)))
-            _biv_add(rhs, _biv_shift(q1, 0, 1).items())  # * z
-            _biv_add(rhs, _biv_shift(q2, 1, 1).items())  # * y * z
-        residuals.append(_biv_sub(lhs, rhs))
+    for n, level in enumerate(levels):
+        if n:
+            rhs = _equation_rhs(lhs)
+        lhs = _rows(level, height, width)
+        residuals.append({
+            (h, k): a - b
+            for k, (left, right) in enumerate(zip(lhs, rhs)) if left != right
+            for h, (a, b) in enumerate(zip(left, right)) if a != b
+        })
     return residuals
 
 

@@ -156,6 +156,9 @@ def test_maps_reject_invalid_inputs():
         phi(make_path("UUDDUUUWUDDDDD", kind=PathKind.VMSTEADY))
     with pytest.raises(MembershipError):
         theta(LatticePath("UUDUDD", (2,), PathKind.VMSTEADY))  # mark above M1
+    for kind in (PathKind.STEADY, PathKind.VMSTEADY):  # a steady path has no marks
+        with pytest.raises(MembershipError):
+            steady_to_perm(LatticePath("UDUD", (1,), kind))
 
 
 def test_single_steps_move_one_unit():

@@ -66,6 +66,7 @@ def test_map_star_rejects_non_members():
         ("phi-star", ""),
         ("phi-star", "UUDDDU"),
         ("phi-star", "UUDUWUDDDD;marks=1"),
+        ("steady-perm", "UDUD;marks=1"),
     ):
         assert run(["map", "--name", name, "--input", text]) == (2, ""), (name, text)
 

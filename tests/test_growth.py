@@ -26,6 +26,7 @@ from powcat.growth import (
 )
 from powcat.objects import (
     InversionSequence,
+    LatticePath,
     OrderedTree,
     PathKind,
     Permutation,
@@ -151,6 +152,8 @@ def test_steady_child_count_is_the_label_sum():
 def test_steady_rejects_non_members():
     with pytest.raises(MembershipError):
         steady_children(make_path("UUDDUUUWUDDDDD", kind=PathKind.STEADY))
+    with pytest.raises(MembershipError):
+        steady_children(LatticePath("UUDDUD", (1,), PathKind.VMSTEADY))  # a steady path has no marks
 
 
 def test_growers_reject_non_members():

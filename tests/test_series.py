@@ -1,7 +1,10 @@
 """Exact series arithmetic, recurrences, and the kernel formula."""
 import pytest
 
+from powcat import series, verify
+from powcat.cli import run_command
 from powcat.errors import SIZE_LIMITS
+from powcat.gentree import label_distribution
 from powcat.patterns import invseq_members
 from powcat.series import (
     callan_triangle,
@@ -114,6 +117,31 @@ def test_kernel_a11_equals_brute_force():
 def test_functional_equation_residual():
     assert functional_equation_residual(1) == [{}]
     assert residual_is_zero(8)
+    assert residual_is_zero(SIZE_LIMITS["residual"][1])
+
+
+def test_functional_equation_residual_reports_a_planted_fault(monkeypatch):
+    # one extra node of label (1, 2) on level 3 breaks the equation at x^3 and,
+    # through both divided differences, at x^4
+    def planted(order):
+        levels = [dict(level) for level in label_distribution("i-geq3", order)]
+        levels[2][(1, 2)] = levels[2].get((1, 2), 0) + 1
+        return levels
+
+    monkeypatch.setattr(series, "_rule_levels", planted)
+    assert functional_equation_residual(6) == [
+        {}, {}, {(1, 2): 1}, {(0, 3): -1, (2, 2): -1, (3, 1): -1}, {}, {},
+    ]
+    assert run_command(["series", "residual", "--n", "6"]) == (1, "nonzero at x^3 y^1 z^2: 1\n")
+    assert run_command(["series", "residual", "--n", "6", "--format", "json"]) == (
+        1, '{"coeff":1,"h":1,"k":2,"order":3}\n',
+    )
+    result = verify.check_functional_equation()
+    assert not result.ok
+    assert result.counterexample == "x^3: residual monomial y^1 z^2 -> 1"
+    # an emptied level leaves the xyz term unmatched and level 2 unexplained
+    monkeypatch.setattr(series, "_rule_levels", lambda order: [{}] + label_distribution("i-geq3", order)[1:])
+    assert functional_equation_residual(3) == [{(1, 1): -1}, {(0, 2): 1, (2, 1): 1}, {}]
 
 
 def test_triangle_refines_zero_statistic():
