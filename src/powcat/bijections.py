@@ -60,6 +60,7 @@ def left_inversion_table_inverse(t) -> Permutation:
 
 def catalan_invseq_to_perm(e: InversionSequence) -> Permutation:
     """Reverse e, read the result as a left inversion table, invert."""
+    require_valid(e, "an inversion sequence")
     if not in_invseq_family("cat", e.entries):
         raise MembershipError(f"{to_text(e)} is not a Catalan inversion sequence")
     p = left_inversion_table_inverse(tuple(reversed(e.entries)))
@@ -69,6 +70,7 @@ def catalan_invseq_to_perm(e: InversionSequence) -> Permutation:
 
 
 def catalan_perm_to_invseq(p: Permutation) -> InversionSequence:
+    require_valid(p, "a permutation")
     if not (avoids_vincular(p, PAT_1_23) and avoids_vincular(p, PAT_2_14_3)):
         raise MembershipError(f"{to_text(p)} does not avoid 1-23 and 2-14-3")
     e = InversionSequence(tuple(reversed(left_inversion_table(p))))
@@ -98,6 +100,7 @@ def steady_to_perm(path: LatticePath) -> Permutation:
 
 
 def perm_to_steady(p: Permutation) -> LatticePath:
+    require_valid(p, "a permutation")
     if not avoids_vincular(p, PAT_1_34_2):
         raise MembershipError(f"{to_text(p)} does not avoid 1-34-2")
     t = left_inversion_table(p)

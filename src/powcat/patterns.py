@@ -1,9 +1,13 @@
 """Avoidance oracles and exhaustive enumerators.
 
 Three pattern languages drive everything: triples of binary relations on
-inversion sequences, word patterns matched as order-and-equality-preserving
-subsequences, and (vincular) permutation patterns where dash-free adjacent
-entries must sit at consecutive positions.
+inversion sequences, and two subsequence languages, word patterns matched
+as order-and-equality-preserving subsequences and (vincular) permutation
+patterns where dash-free adjacent entries must sit at consecutive
+positions.  The two subsequence languages share one cached search plan
+(_search_plan): entry i of a pattern must take a value in a half-open
+interval [bounds[lo], bounds[hi]) set by the values of entries 0..i-1,
+each of which writes v and v + 1 into its two slots of bounds.
 
 Enumerators prune on prefixes: removing the last entry of an inversion
 sequence (or the last point of a permutation, up to standardization) never
@@ -14,9 +18,11 @@ validating it, and each test is exact:
 - inversion sequences: bitmasks of the values placed and of the values
   that would complete a triple or 3-letter word occurrence; a candidate
   is rejected exactly when it ends an occurrence;
-- permutations: one search per parent, over the occurrences of each
-  pattern less its last entry, gives the mask of the appended ranks that
-  would complete an occurrence; only the other children are built;
+- inversion sequences avoiding words of other lengths, and permutations:
+  one search per parent along the plan (_completing), over the
+  occurrences of each pattern less its last entry, gives the mask of the
+  appended values that would complete an occurrence; only the other
+  children are built;
 - steady words: the least diagonal distance the S1/S2 conditions of the
   up steps so far allow for the next one;
 - increasing-leaves trees: vertices n, .., 1 go under the root in turn,
@@ -30,8 +36,8 @@ canonical text.
 
 The single-object oracles share the enumerators' state: avoids_triple
 carries the same two bitmasks over the same ban table in one left-to-right
-pass, and avoids_vincular tests each candidate entry against the two
-earlier entries that bound it, as the permutation search does.
+pass, and avoids_word and avoids_vincular walk the same plan as
+_completing, in one search (_contains) with outer bounds -inf and inf.
 """
 from __future__ import annotations
 
@@ -185,66 +191,75 @@ def _triple_bans(triple: RelationTriple, n: int):
     return _ban_table((triple,), (), n)
 
 
-def _word_consistent(word, chosen_vals, idx, val) -> bool:
-    w = word[idx]
-    for p, cv in enumerate(chosen_vals):
-        wp = word[p]
-        if wp == w:
-            if cv != val:
-                return False
-        elif wp < w:
-            if cv >= val:
-                return False
-        elif cv <= val:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _search_plan(pattern):
+    """For each entry i of a WordPattern or VincularPattern: (lo, hi, tied,
+    after).  Given the values of entries 0..i-1, its value must lie in
+    [bounds[lo], bounds[hi]); each accepted value v is written as v and
+    v + 1 into slots 2i and 2i + 1 of bounds, and slots -2 and -1 hold the
+    outer bounds (-inf and inf in the oracles, 0 and n + 2 in the
+    enumerators, whose values lie in 0..n).  A word letter lies strictly
+    between the nearest lower and higher earlier letters (slots v_b + 1
+    and v_a), or is pinned to an equal one, [v_e, v_e + 1).  A permutation
+    entry counts a tie with the entry above it as above (slot v_a + 1), as
+    a pairwise comparison does.  tied says the entry sits right after entry
+    i-1; after counts the entries after it."""
+    if isinstance(pattern, WordPattern):
+        letters, adjacent, above = pattern.word, (), 0
+    else:
+        letters, adjacent, above = pattern.perm, pattern.adjacent, 1
+    k = len(letters)
+    plan = []
+    for i, w in enumerate(letters):
+        equal = [p for p in range(i) if letters[p] == w]
+        if equal:
+            lo, hi = 2 * equal[0], 2 * equal[0] + 1
+        else:
+            b = max((p for p in range(i) if letters[p] < w), key=letters.__getitem__, default=None)
+            a = min((p for p in range(i) if letters[p] > w), key=letters.__getitem__, default=None)
+            lo = -2 if b is None else 2 * b + 1
+            hi = -1 if a is None else 2 * a + above
+        plan.append((lo, hi, i in adjacent, k - 1 - i))  # entry 0 is never tied
+    return tuple(plan)
 
 
-def _contains_word(values, word, start, chosen) -> bool:
-    idx = len(chosen)
-    if idx == len(word):
-        return True
-    for pos in range(start, len(values) - (len(word) - idx) + 1):
-        if _word_consistent(word, chosen, idx, values[pos]):
-            chosen.append(values[pos])
-            if _contains_word(values, word, pos + 1, chosen):
-                chosen.pop()
+def _contains(values, plan, bounds, idx, start) -> bool:
+    """Whether values hold, at or after position start, entries idx.. of an
+    occurrence whose earlier entries wrote their values into bounds."""
+    lo, hi, tied, after = plan[idx]
+    low, high = bounds[lo], bounds[hi]
+    # the room the earlier entries left keeps start within values when tied
+    if not after:
+        if tied:
+            return low <= values[start] < high
+        for v in values[start:]:
+            if low <= v < high:
                 return True
-            chosen.pop()
+        return False
+    slot = idx + idx
+    for pos in range(start, start + 1 if tied else len(values) - after):
+        v = values[pos]
+        if low <= v < high:
+            bounds[slot] = v
+            bounds[slot + 1] = v + 1
+            if _contains(values, plan, bounds, idx + 1, pos + 1):
+                return True
     return False
+
+
+def _occurs(values, pattern) -> bool:
+    plan = _search_plan(pattern)
+    return _contains(values, plan, [-inf, inf] * (len(plan) + 1), 0, 0)
 
 
 def avoids_word(e, w: WordPattern) -> bool:
     """True when no subsequence of e realizes the order-and-equality type of w."""
-    v = e.entries if isinstance(e, InversionSequence) else tuple(e)
-    return not _contains_word(v, w.word, 0, [])
-
-
-def _contains_vincular(values, plan, chosen, idx, start) -> bool:
-    """Whether an occurrence of the pattern whose entries 0..idx-1 took the
-    values chosen[:idx] before position start ends in values at or after
-    start; plan is the pattern's _search_plan.  A value tied with the
-    bounding entry above counts as above it, as in a pairwise comparison
-    with every earlier entry; a permutation has no ties."""
-    if idx == len(plan):
-        return True
-    lo, hi, tied, after = plan[idx]
-    low = -inf if lo is None else chosen[lo]
-    high = inf if hi is None else chosen[hi]
-    # the room the earlier entries left keeps start + 1 within the range
-    for pos in range(start, start + 1 if tied else len(values) - after):
-        v = values[pos]
-        if low < v <= high:
-            chosen[idx] = v
-            if _contains_vincular(values, plan, chosen, idx + 1, pos + 1):
-                return True
-    return False
+    return not _occurs(e.entries if isinstance(e, InversionSequence) else tuple(e), w)
 
 
 def avoids_vincular(p, pattern: VincularPattern) -> bool:
     """True when p has no occurrence of the (possibly vincular) pattern."""
-    v = p.values if isinstance(p, Permutation) else tuple(p)
-    return not v or not _contains_vincular(v, _search_plan(pattern), [0] * len(pattern.perm), 0, 0)
+    return not _occurs(p.values if isinstance(p, Permutation) else tuple(p), pattern)
 
 
 def _strict_minima(seq) -> int:
@@ -368,20 +383,25 @@ def ascent_min_max_criterion(values) -> bool:
 # -- incremental occurrence checks (for pruned enumeration) ---------------------
 
 
-def _word_hit_at_end(values, word) -> bool:
-    last = len(values) - 1
-    L = len(word)
-
-    def rec(idx, chosen_vals, start):
-        if idx == L - 1:
-            return _word_consistent(word, chosen_vals, idx, values[last])
-        for pos in range(start, last - (L - 2 - idx)):
-            if _word_consistent(word, chosen_vals, idx, values[pos]):
-                if rec(idx + 1, chosen_vals + [values[pos]], pos + 1):
-                    return True
-        return False
-
-    return rec(0, [], 0) if len(values) >= L else False
+def _completing(cur, plan, bounds, idx, start) -> int:
+    """Bitmask of the values a whose appending to cur completes an occurrence
+    whose entries 0..idx-1 wrote their values into bounds before position
+    start, whose later entries but the last sit in cur at or after start,
+    and whose last entry is a."""
+    lo, hi, tied, after = plan[idx]
+    if not after:
+        return (1 << bounds[hi]) - (1 << bounds[lo])
+    m = len(cur)
+    low, high = bounds[lo], bounds[hi]
+    first = max(start, m - 1) if after == 1 and plan[-1][2] else start  # the last entry is at m
+    slot, mask = idx + idx, 0
+    for pos in range(first, start + 1 if tied else m - after + 1):
+        v = cur[pos]
+        if low <= v < high:
+            bounds[slot] = v
+            bounds[slot + 1] = v + 1
+            mask |= _completing(cur, plan, bounds, idx + 1, pos + 1)
+    return mask
 
 
 def _sign(a, b):
@@ -421,11 +441,13 @@ def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
     the values c such that some (e_i, e_j, c) with i < j is an occurrence.
     A next entry v completes an occurrence exactly when v is banned, and
     placing v bans every c with (a, v, c) an occurrence for some a in seen.
-    Words of any other length are matched against each candidate.
+    For a word of any other length, one search per prefix over the
+    occurrences of the word less its last letter (_completing, as in
+    perm_class_raw) adds the values that would complete one to banned.
     """
     out = []
     bans = _ban_table(triples, [w.word for w in words if len(w.word) == 3], n)
-    other_words = tuple(w.word for w in words if len(w.word) != 3)
+    searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, words) if len(plan) != 3]
     # banned_after[v][seen]: the values banned by placing v after the set seen
     banned_after = [{} for _ in range(n)]
 
@@ -434,12 +456,12 @@ def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
         if m == n:
             out.append(prefix)
             return
+        for plan, bounds in searches:
+            banned |= _completing(prefix, plan, bounds, 0, 0)
         for v in range(m + 1):
             if banned >> v & 1:
                 continue
             cand = prefix + (v,)
-            if other_words and any(_word_hit_at_end(cand, w) for w in other_words):
-                continue
             if m + 1 == n:
                 out.append(cand)
                 continue
@@ -454,47 +476,6 @@ def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
 
     extend((), 0, 0)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _search_plan(pat: VincularPattern):
-    """For each entry i of the pattern: the earlier entries just below and
-    just above it in value (their indices, or None), whether it must sit
-    right after entry i-1, and the number of entries after it.  Values
-    taken for entries 0..i-1 in pattern order put a value in pattern order
-    with all of them exactly when it lies strictly between the values of
-    the first two."""
-    perm, k = pat.perm, len(pat.perm)
-    return tuple(
-        (
-            max((p for p in range(i) if perm[p] < w), key=perm.__getitem__, default=None),
-            min((p for p in range(i) if perm[p] > w), key=perm.__getitem__, default=None),
-            i in pat.adjacent,  # never 0
-            k - 1 - i,
-        )
-        for i, w in enumerate(perm)
-    )
-
-
-def _completing_ranks(cur, plan, chosen, idx, start) -> int:
-    """Bitmask of the ranks a whose appending to cur completes an occurrence
-    of the pattern in which entries 0..idx-1 took the values chosen[:idx]
-    before position start, its later entries but the last sit in cur at or
-    after start, and its last entry is a.  See perm_class_raw."""
-    m = len(cur)
-    lo, hi, tied, after = plan[idx]
-    low = 0 if lo is None else chosen[lo]
-    high = m + 1 if hi is None else chosen[hi]
-    if not after:
-        return (1 << high + 1) - (1 << low + 1)  # the ranks low+1 .. high
-    first = max(start, m - 1) if after == 1 and plan[-1][2] else start  # the last entry is at m
-    mask = 0
-    for pos in range(first, start + 1 if tied else m - after + 1):
-        v = cur[pos]
-        if low < v < high:
-            chosen[idx] = v
-            mask |= _completing_ranks(cur, plan, chosen, idx + 1, pos + 1)
-    return mask
 
 
 @lru_cache(maxsize=None)
@@ -513,20 +494,21 @@ def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
     are adjacent.  It extends to an occurrence ending at the new entry
     exactly when a lies in (L, U]: L is the largest of its values whose
     pattern entry lies below entry k (0 if none) and U the smallest whose
-    pattern entry lies above it (m+1 if none).  One search per parent over
-    these occurrences gives the mask of the ranks that would complete an
-    occurrence, and only the other children are built.  The search starts
-    from the empty permutation, whose child (1,) goes through the same
-    mask (k = 1 gives the empty occurrence and the interval (0, 1]).
+    pattern entry lies above it (beyond m+1 if none), the interval
+    _search_plan gives a permutation entry.  One search per parent over
+    these occurrences (_completing) gives the mask of the ranks that would
+    complete an occurrence, and only the other children are built.  The
+    search starts from the empty permutation, whose child (1,) goes through
+    the same mask (k = 1 gives the empty occurrence and every rank).
     """
-    searches = [(_search_plan(p), [0] * len(p.perm)) for p in patterns]
+    searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, patterns)]
     level = [()] if n >= 1 else []
     for m in range(n):
         grown = []
         for cur in level:
             bad = 0
-            for plan, chosen in searches:
-                bad |= _completing_ranks(cur, plan, chosen, 0, 0)
+            for plan, bounds in searches:
+                bad |= _completing(cur, plan, bounds, 0, 0)
             grown += [tuple([v if v < a else v + 1 for v in cur]) + (a,) for a in range(1, m + 2) if not bad >> a & 1]
         level = grown
     return tuple(level)

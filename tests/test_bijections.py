@@ -159,6 +159,13 @@ def test_maps_reject_invalid_inputs():
     for kind in (PathKind.STEADY, PathKind.VMSTEADY):  # a steady path has no marks
         with pytest.raises(MembershipError):
             steady_to_perm(LatticePath("UDUD", (1,), kind))
+    # the input is validated before any pattern is searched or table inverted
+    with pytest.raises(MembershipError, match="0,2,2 is not an inversion sequence"):
+        catalan_invseq_to_perm(InversionSequence((0, 2, 2)))
+    with pytest.raises(MembershipError, match="1,2,3,3 is not a permutation"):
+        catalan_perm_to_invseq(Permutation((1, 2, 3, 3)))
+    with pytest.raises(MembershipError, match="1,3,4,2,2 is not a permutation"):
+        perm_to_steady(Permutation((1, 3, 4, 2, 2)))
 
 
 def test_single_steps_move_one_unit():

@@ -29,6 +29,12 @@ def test_count_family_syntaxes_agree():
         assert by_triple == by_words
 
 
+def test_count_a_four_letter_word_class():
+    # words not of length 3 go through the occurrence search, one per prefix
+    code, out = run(["count", "--family", "avoid:0110", "--n", "9"])
+    assert code == 0 and out.strip() == "172766"
+
+
 def test_count_perm_and_path_and_tree_families():
     code, out = run(["count", "--family", "perm:1-23-4", "--n", "4"])
     assert code == 0 and out.strip() == "23"

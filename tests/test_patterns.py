@@ -138,6 +138,40 @@ def test_long_word_patterns_are_supported():
     assert avoids_word(InversionSequence((0, 1, 0, 1)), WordPattern.parse("0011"))
 
 
+def eq_type(seq):
+    """The order-and-equality type of a sequence: each value replaced by the
+    number of distinct values below it."""
+    rank = {x: r for r, x in enumerate(sorted(set(seq)))}
+    return tuple(rank[x] for x in seq)
+
+
+def subsequence_types(v):
+    """The types of all subsequences of v, over every set of positions."""
+    return {eq_type(sub) for k in range(len(v) + 1) for sub in combinations(v, k)}
+
+
+def literal_avoids_word(v, word):
+    return eq_type(word) not in subsequence_types(v)
+
+
+# every order-and-equality type of a word of length 1..4
+WORD_TYPES = [w for k in range(1, 5) for w in product(range(k), repeat=k) if set(w) == set(range(max(w) + 1))]
+
+
+def test_word_oracle_matches_the_literal_search_for_every_short_word():
+    # values -1..3 leave the range of an inversion sequence; the types of each
+    # tuple's subsequences are collected once, and a tuple contains a word
+    # exactly when the word's type is among them
+    assert len(WORD_TYPES) == 92
+    words = [WordPattern(w) for w in WORD_TYPES] + [WordPattern.parse("01210")]
+    mismatches = []
+    for n in range(0, 6):
+        for v in product(range(-1, 4), repeat=n):
+            types = subsequence_types(v)
+            mismatches += [(str(w), v) for w in words if avoids_word(v, w) != (eq_type(w.word) not in types)]
+    assert mismatches == []
+
+
 # -- vincular oracle ---------------------------------------------------------------
 
 
@@ -320,15 +354,19 @@ def test_invseq_enumerator_matches_filter_for_every_triple():
         ((), (WordPattern((1, 0)),)),
         ((), (WordPattern((0, 1, 1, 0)),)),
         ((RelationTriple("lt", "neq", "dash"),), (WordPattern((0, 0, 0)), WordPattern((1, 0, 2, 1)))),
-    ],
+    ]
+    + [((), (WordPattern.parse(w),)) for w in ("0", "00", "01", "1010", "0012", "2100", "01210")]
+    + [((), (WordPattern.parse("110"), WordPattern.parse("0110")))],
     ids=lambda key: "+".join(str(p) for p in key) or "-",
 )
 def test_invseq_enumerator_matches_filter_for_words(triples, words):
+    # the filter is the literal search, which shares nothing with the
+    # enumerator's occurrence search
     for n in range(1, 7):
         want = [
             e
             for e in all_invseqs(n)
-            if all(avoids_triple(e, t) for t in triples) and all(avoids_word(e, w) for w in words)
+            if all(avoids_triple(e, t) for t in triples) and all(literal_avoids_word(e, w.word) for w in words)
         ]
         assert list(invseq_class_raw(triples, words, n)) == want, n
 

@@ -2,11 +2,11 @@
 
 At seeded sizes n = 10..30 the fast membership and avoidance tests must
 agree with their slow definitions: is_valid() with validate().ok,
-avoids_triple() with a literal i < j < k loop, and avoids_vincular() with a
-search over position sets.  Members come from random walks down the
-certified growths, so large avoiders are sampled as well as the random
-objects that almost always contain a pattern; corrupted copies supply
-non-members of every kind.
+avoids_triple() with a literal i < j < k loop, and avoids_word() and
+avoids_vincular() with searches over position sets.  Members come from
+random walks down the certified growths, so large avoiders are sampled as
+well as the random objects that almost always contain a pattern; corrupted
+copies supply non-members of every kind.
 """
 import operator
 from itertools import combinations, product
@@ -30,7 +30,16 @@ from powcat.objects import (  # noqa: E402
     path_valleys,
     validate,
 )
-from powcat.patterns import INVSEQ_FAMILIES, RelationTriple, VincularPattern, avoids_triple, avoids_vincular  # noqa: E402
+from powcat.patterns import (  # noqa: E402
+    INVSEQ_FAMILIES,
+    WORD_CHARACTERIZATIONS,
+    RelationTriple,
+    VincularPattern,
+    WordPattern,
+    avoids_triple,
+    avoids_vincular,
+    avoids_word,
+)
 
 SEEDED = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 SIZES = st.integers(10, 30)
@@ -142,6 +151,36 @@ def test_triple_oracle_agrees_with_the_literal_loop_at_large_n(data, n, family, 
     for v in (member, shifted, spread, other):
         for t in (triple, RelationTriple(*rels)):
             assert avoids_triple(v, t) == literal_avoids(v, t), (v, t)
+
+
+# -- avoids_word against a literal search over position sets ------------------------------
+
+WORDS = [WordPattern.parse(w) for w in ("0", "00", "01", "10", "0110", "1010", "0012", "2100", "01210")]
+
+
+def literal_avoids_word(v, word):
+    """No set of positions carries the word's order-and-equality type: every
+    pair of chosen values compares (<, =, >) as the pair of letters does."""
+    pairs = list(combinations(range(len(word)), 2))
+    return not any(
+        all((s[i] < s[j], s[i] == s[j]) == (word[i] < word[j], word[i] == word[j]) for i, j in pairs)
+        for s in combinations(v, len(word))
+    )
+
+
+@SEEDED
+@given(st.data(), SIZES, st.sampled_from(("pcat", "semi")), st.sampled_from(WORDS))
+def test_word_oracle_agrees_with_the_literal_search_at_large_n(data, n, family, word):
+    # members of I(110) and I(110, 210) avoid their characterizing words; a
+    # corrupted copy (one entry anywhere in -1..n) usually contains some
+    member = walk(data, "pcat:invseq" if family == "pcat" else family, n).entries
+    corrupted = list(member)
+    corrupted[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, n))
+    own = [WordPattern.parse(w) for w in WORD_CHARACTERIZATIONS[family]]
+    assert all(avoids_word(member, w) and literal_avoids_word(member, w.word) for w in own)
+    for v in (member, tuple(corrupted)):
+        for w in (*own, word):
+            assert avoids_word(v, w) == literal_avoids_word(v, w.word), (v, str(w))
 
 
 # -- avoids_vincular against a search over position sets --------------------------------
