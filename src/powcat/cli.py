@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: count, levels, triangle, grow, map, verify, conjecture, series.
-Machine formats via --format json|csv (text is the default); stdout carries
+Each handler returns (exit code, stdout text): it builds its text lines, its
+machine value and, for tables, its csv rows, and the one renderer _render
+writes whichever of --format text|json|csv was asked for.  stdout carries
 only payload, progress and errors go to stderr.  Exit codes: 0 success, 1 a
 failed verify check (or nonzero residual), 2 invalid input (usage, text,
 membership, or a size outside errors.SIZE_LIMITS; rejected before computing),
@@ -10,10 +12,8 @@ membership, or a size outside errors.SIZE_LIMITS; rejected before computing),
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from contextlib import redirect_stdout
 
 from . import bijections, growth, series, verify
 from .errors import check_size
@@ -52,82 +52,61 @@ def _parse_input(text: str, kind: str):
     return parse_object(text, kind)
 
 
-def export_table(rows, fmt: str, path=None) -> str:
-    """Byte-stable rendering of a table (list of flat rows or a JSON-able
-    object); optionally written to a file."""
+def export_table(rows, fmt: str) -> str:
+    """Byte-stable rendering of a table: csv writes a list of flat rows, json
+    any JSON-able object."""
     if fmt == "json":
-        text = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
-    elif fmt == "csv":
-        text = "".join(",".join(str(c) for c in row) + "\n" for row in rows)
-    else:
-        raise ValueError(f"unsupported export format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(str(c) for c in row) + "\n" for row in rows)
+    raise ValueError(f"unsupported export format {fmt!r}")
 
 
-def _emit(args, text_value, machine_value):
-    if args.format == "json":
-        print(json.dumps(machine_value, sort_keys=True, separators=(",", ":")))
-    elif args.format == "csv":
-        if isinstance(machine_value, list):
-            flat = not machine_value or not isinstance(machine_value[0], (list, tuple))
-            rows = [machine_value] if flat else machine_value
-        else:
-            rows = [[machine_value]]
-        sys.stdout.write(export_table(rows, "csv"))
-    else:
-        print(text_value)
+def _render(fmt: str, lines, machine, rows=None) -> str:
+    """The one statement of the output formats: text is the given lines, json
+    the machine value, csv the given rows or else the machine value as one row
+    (a list) or one cell."""
+    if fmt == "text":
+        return "".join(line + "\n" for line in lines)
+    if fmt == "json":
+        return export_table(machine, "json")
+    if rows is None:
+        rows = [machine if isinstance(machine, list) else [machine]]
+    return export_table(rows, "csv")
 
 
 def _cmd_count(args):
     kind, spec = _parse_family(args.family)
     n = count_class(kind, spec, args.n)
-    _emit(args, str(n), n)
-    return 0
+    return 0, _render(args.format, [str(n)], n)
 
 
 def _cmd_levels(args):
     counts = level_counts(args.rule, args.depth)
-    _emit(args, ",".join(str(c) for c in counts), counts)
-    return 0
+    return 0, _render(args.format, [",".join(map(str, counts))], counts)
 
 
 def _cmd_triangle(args):
     tri = series.callan_triangle(args.n)
     rows = [[n, k, tri.value(n, k)] for n in range(args.n + 1) for k in range(n + 1)]
-    if args.format == "text":
-        for n in range(args.n + 1):
-            print(",".join(str(v) for v in tri.row(n)))
-    else:
-        _emit(args, "", rows)
-    return 0
+    lines = [",".join(map(str, tri.row(n))) for n in range(args.n + 1)]
+    return 0, _render(args.format, lines, rows, rows)
 
 
 def _cmd_grow(args):
     fam = growth.FAMILIES[args.family]
     obj = _parse_input(args.input, fam.kind)
-    children = fam.children(obj)
-    payload = [{"object": to_text(c), "label": list(lab)} for c, lab in children]
-    if args.format == "text":
-        for c, lab in children:
-            print(f"{to_text(c)}  {lab}")
-    elif args.format == "csv":
-        sys.stdout.write(
-            export_table([[to_text(c), *lab] for c, lab in children], "csv")
-        )
-    else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    return 0
+    children = [(to_text(c), lab) for c, lab in fam.children(obj)]
+    lines = [f"{text}  {lab}" for text, lab in children]
+    payload = [{"object": text, "label": list(lab)} for text, lab in children]
+    return 0, _render(args.format, lines, payload, [[text, *lab] for text, lab in children])
 
 
 def _cmd_map(args):
     fn = bijections.MAPS[args.name]
     obj = _parse_input(args.input, bijections.MAP_INPUT_KINDS[args.name])
-    result = fn(obj)
-    _emit(args, to_text(result), to_text(result))
-    return 0
+    text = to_text(fn(obj))
+    return 0, _render(args.format, [text], text)
 
 
 def _cmd_verify(args):
@@ -136,6 +115,10 @@ def _cmd_verify(args):
 
     results = verify.run_suite(args.suite, jobs=args.jobs, progress=progress)
     status = "pass" if all(r.ok for r in results) else "FAIL"
+    lines = [
+        f"{r.name}: {r.status} [{r.sizes}]" + (f"  counterexample: {r.counterexample}" if r.counterexample else "")
+        for r in results
+    ]
     payload = {
         "suite": args.suite,
         "checks": [
@@ -150,62 +133,41 @@ def _cmd_verify(args):
         ],
         "status": status,
     }
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    elif args.format == "csv":
-        sys.stdout.write(
-            export_table([[c["name"], c["status"], c["sizes"], c["elapsed"]] for c in payload["checks"]], "csv")
-        )
-    else:
-        for c in payload["checks"]:
-            line = f"{c['name']}: {c['status']} [{c['sizes']}]"
-            if c["counterexample"]:
-                line += f"  counterexample: {c['counterexample']}"
-            print(line)
-        print(f"suite {args.suite}: {status}")
-    return 0 if status == "pass" else 1
+    rows = [[r.name, r.status, r.sizes, r.elapsed] for r in results]
+    return (0 if status == "pass" else 1), _render(args.format, [*lines, f"suite {args.suite}: {status}"], payload, rows)
 
 
 def _cmd_conjecture(args):
     rows = verify.conjecture_23_1_4_report(args.n)
     agree_all = all(r["agree"] for r in rows)
-    if args.format == "json":
-        print(json.dumps({"evidence": rows, "agree": agree_all}, sort_keys=True, separators=(",", ":")))
-    elif args.format == "csv":
-        flat = [
-            [r["n"], k, r["distribution"][k], r["triangle_row"][k], r["agree"]]
-            for r in rows
-            for k in sorted(r["distribution"])
-        ]
-        sys.stdout.write(export_table(flat, "csv"))
-    else:
-        print("conjecture evidence: AV(23-1-4) refined by RTL minima vs the triangle")
-        for r in rows:
-            marks = "agree" if r["agree"] else "DISAGREE"
-            print(f"n={r['n']}: count {r['count']}, {marks}")
-        print(f"overall: {'agreement' if agree_all else 'disagreement'} up to n={args.n} (evidence, not a theorem)")
-    return 0
+    lines = [
+        "conjecture evidence: AV(23-1-4) refined by RTL minima vs the triangle",
+        *[f"n={r['n']}: count {r['count']}, {'agree' if r['agree'] else 'DISAGREE'}" for r in rows],
+        f"overall: {'agreement' if agree_all else 'disagreement'} up to n={args.n} (evidence, not a theorem)",
+    ]
+    flat = [
+        [r["n"], k, r["distribution"][k], r["triangle_row"][k], r["agree"]]
+        for r in rows
+        for k in sorted(r["distribution"])
+    ]
+    return 0, _render(args.format, lines, {"evidence": rows, "agree": agree_all}, flat)
 
 
 def _cmd_series(args):
     if args.name == "triangle":
         return _cmd_triangle(args)
+    if args.name == "residual":
+        for n, residual in enumerate(series.functional_equation_residual(args.n), 1):
+            if residual:
+                (h, k), coeff = min(residual.items())
+                fault = {"order": n, "h": h, "k": k, "coeff": coeff}
+                return 1, _render(args.format, [f"nonzero at x^{n} y^{h} z^{k}: {coeff}"], fault, [[n, h, k, coeff]])
+        return 0, _render(args.format, ["0"], 0)
     if args.name == "kernel-a11":
         values = series.kernel_a11(args.n)
-        _emit(args, ",".join(str(v) for v in values), values)
-        return 0
-    if args.name == "residual":
-        residuals = series.functional_equation_residual(args.n)
-        bad = [(n, sorted(r)[0], r[sorted(r)[0]]) for n, r in enumerate(residuals, 1) if r]
-        if not bad:
-            _emit(args, "0", 0)
-            return 0
-        n, (h, k), coeff = bad[0]
-        _emit(args, f"nonzero at x^{n} y^{h} z^{k}: {coeff}", {"order": n, "h": h, "k": k, "coeff": coeff})
-        return 1
-    values = series.reference_sequence(args.name, args.n)
-    _emit(args, ",".join(str(v) for v in values), values)
-    return 0
+    else:
+        values = series.reference_sequence(args.name, args.n)
+    return 0, _render(args.format, [",".join(map(str, values))], values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,22 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> tuple[int, str]:
-    """Run one CLI invocation, capturing stdout; returns (exit code, stdout)."""
+    """Run one CLI invocation; returns (exit code, stdout text)."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), ""
-    buf = io.StringIO()
     try:
-        with redirect_stdout(buf):
-            code = args.fn(args)
+        return args.fn(args)
     except ValueError as err:  # ParseError, LimitError and MembershipError among them
         print(f"error: {err}", file=sys.stderr)
         return 2, ""
     except (ArithmeticError, AssertionError) as err:
         print(f"internal error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 3, ""
-    return code, buf.getvalue()
 
 
 def main() -> int:

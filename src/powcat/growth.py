@@ -50,6 +50,8 @@ def _invseq_class(family: str):
 
 
 P1234_CLASS = ("perm-vincular", P1234)
+STEADY_CLASS = ("path-kind", PathKind.STEADY)
+VMDYCK_CLASS = ("path-kind", PathKind.VMDYCK)
 
 
 def _require_member(obj, cls, what: str):
@@ -225,18 +227,16 @@ def steady_label(path: LatticePath) -> Label:
 
 
 def steady_children(path: LatticePath):
-    """Children by a new rightmost up step at each admissible height."""
-    steady = path if path.kind is PathKind.STEADY else make_path(path.steps, path.marks, PathKind.STEADY)
-    require_valid(steady, "a steady path")
+    """Children by a new rightmost up step at each admissible height i, which
+    runs up to n - t/2 = h + k - 1 for the label (h, k)."""
+    _require_member(path, STEADY_CLASS, "a steady path")
     n = path.size
     pts = up_step_points(path.steps)
-    t_half = edge_line_offset(path.steps) // 2
-    r = last_descent_length(path.steps)
-    h, k = n - t_half - r, r + 1
+    h, k = steady_label(path)
     out = []
-    for i in range(n - t_half + 1):
+    for i in range(h + k):
         child = path_from_up_points(pts + [(2 * n - i, i)])
-        label = (h + k - 1 - i, i + 2) if i <= r - 1 else (0, i + 2)
+        label = (h + k - 1 - i, i + 2) if i < k - 1 else (0, i + 2)
         out.append((make_path(child, kind=PathKind.STEADY), label))
     return out
 
@@ -295,8 +295,7 @@ def vmdyck_label(path: LatticePath) -> Label:
 def vmdyck_children(path: LatticePath):
     """Children by a new rightmost peak in the last descent; a freshly made
     valley takes every admissible mark."""
-    vm = path if path.kind is PathKind.VMDYCK else make_path(path.steps, path.marks, PathKind.VMDYCK)
-    require_valid(vm, "a valley-marked Dyck path")
+    _require_member(path, VMDYCK_CLASS, "a valley-marked Dyck path")
     steps, marks = path.steps, path.marks
     r = last_descent_length(steps)
     head = steps[: len(steps) - r]
@@ -375,9 +374,9 @@ FAMILIES = {
     "pcat:invseq": FamilyGrowth(
         "pcat", "invseq", _invseq_class("pcat"), pcat_children_invseq, pcat_label_invseq, pcat_parent_invseq
     ),
-    "pcat:vmdyck": FamilyGrowth("pcat", "vmdyck", ("path-kind", PathKind.VMDYCK), vmdyck_children, vmdyck_label),
+    "pcat:vmdyck": FamilyGrowth("pcat", "vmdyck", VMDYCK_CLASS, vmdyck_children, vmdyck_label),
     "pcat:tree": FamilyGrowth("pcat", "tree", ("tree", None), tree_children, tree_label),
-    "steady": FamilyGrowth("steady", "steady", ("path-kind", PathKind.STEADY), steady_children, steady_label),
+    "steady": FamilyGrowth("steady", "steady", STEADY_CLASS, steady_children, steady_label),
     "p1234": FamilyGrowth("p1234", "perm", P1234_CLASS, perm1234_children, p1234_label),
 }
 
@@ -393,10 +392,6 @@ class GrowthReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def summary(self) -> str:
-        state = "pass" if self.ok else f"FAIL ({len(self.violations)} violations)"
-        return f"growth {self.family}: sizes 1..{self.n_max}, {self.objects_checked} objects, {state}"
-
 
 def growth_consistency(family: str, n_max: int) -> GrowthReport:
     """Certify one growth up to n_max: every child is a member, child-label
@@ -404,7 +399,9 @@ def growth_consistency(family: str, n_max: int) -> GrowthReport:
     the emitted ones, and each member of size s+1 has exactly one parent.
     Each size is enumerated once: the members of size s+1 are the next
     parents.  Children and members are counted by value; text only words
-    a violation."""
+    a violation.  Every count is positive, so plain dict equality is exact
+    for the Counters and reuses their stored hashes, where Counter.__eq__
+    looks every key up again through the objects' Python-level __hash__."""
     fam = FAMILIES[family]
     violations = []
     checked = 0
@@ -416,7 +413,7 @@ def growth_consistency(family: str, n_max: int) -> GrowthReport:
             kids = fam.children(obj)
             emitted = Counter(lab for _, lab in kids)
             expected = Counter(expand_label(fam.rule, fam.label(obj)))
-            if emitted != expected:
+            if dict.__ne__(emitted, expected):
                 violations.append(
                     f"size {s}: {to_text(obj)} label {fam.label(obj)} produced {sorted(emitted.items())}, "
                     f"rule says {sorted(expected.items())}"
@@ -434,7 +431,7 @@ def growth_consistency(family: str, n_max: int) -> GrowthReport:
                 produced[child] += 1
         members = fam.enumerate(s + 1)
         next_members = Counter(members)
-        if produced != next_members:
+        if dict.__ne__(produced, next_members):
             extra = produced - next_members
             missing = next_members - produced
             for obj in list(extra)[:3]:

@@ -168,6 +168,22 @@ def test_growers_reject_non_members():
 
 
 @pytest.mark.parametrize(
+    "grow,path",
+    [
+        (steady_children, make_path("UUDD", kind=PathKind.DYCK)),
+        (steady_children, make_path("UUDD", kind=PathKind.VMSTEADY)),
+        (vmdyck_children, make_path("UUDD", kind=PathKind.VMSTEADY)),
+        (vmdyck_children, make_path("UUDD", kind=PathKind.DYCK)),
+    ],
+)
+def test_path_growers_reject_valid_paths_of_another_kind(grow, path):
+    # each path is valid for its own kind, so only the kind check can reject it
+    assert FAMILIES["steady"].member(path) is FAMILIES["pcat:vmdyck"].member(path) is False
+    with pytest.raises(MembershipError):
+        grow(path)
+
+
+@pytest.mark.parametrize(
     "grow,obj",
     [
         (FAMILIES["cat"].children, InversionSequence((0, 5))),

@@ -136,6 +136,7 @@ def test_functional_equation_residual_reports_a_planted_fault(monkeypatch):
     assert run_command(["series", "residual", "--n", "6", "--format", "json"]) == (
         1, '{"coeff":1,"h":1,"k":2,"order":3}\n',
     )
+    assert run_command(["series", "residual", "--n", "6", "--format", "csv"]) == (1, "3,1,2,1\n")
     result = verify.check_functional_equation()
     assert not result.ok
     assert result.counterexample == "x^3: residual monomial y^1 z^2 -> 1"
