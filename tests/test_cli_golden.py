@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from powcat import bijections, growth, verify
+from powcat import bijections, growth
 from powcat.cli import run_command
 from powcat.gentree import RULES
 from powcat.objects import PathKind
@@ -92,7 +92,6 @@ def test_cases_cover_every_subcommand_and_name():
     assert {("grow", "--family", f) for f in growth.FAMILIES} <= names
     assert {("map", "--name", m) for m in bijections.MAPS} <= names
     assert {("levels", "--rule", r) for r in RULES} <= names
-    assert {("verify", "series")} <= {tuple(argv[:2]) for argv in ACCEPTED} and "series" in verify.SUITES
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +108,7 @@ def test_cli_output_is_byte_identical(golden, fmt):
             assert observe(record["argv"]) == record
 
 
-def test_rejected_inputs_exit_2_with_empty_stdout(golden):
+def test_accepted_inputs_exit_0_and_rejected_exit_2_with_empty_stdout(golden):
     rejected = [r for r in golden if r["argv"][:-2] in REJECTED]
     assert len(rejected) == len(REJECTED) * len(FORMATS)
     assert all((r["code"], r["stdout"]) == (2, "") and r["stderr"] for r in rejected)
