@@ -133,39 +133,25 @@ def _first_drop_right(heights, start, level):
     raise AssertionError("path never descends below level")
 
 
-def _transfer_marks(old_marks, new_steps, carried, inserted_u, new_mark):
-    """Marks travel with their valley's U step; the one inserted U gets the
-    new mark.  old_marks maps the U step of each old valley to its mark and
-    carried maps new step index -> old step index."""
-    marks = []
-    for u, _ in path_valleys(new_steps):
-        if u == inserted_u:
-            marks.append(new_mark)
-        else:
-            old_u = carried[u]
-            if old_u not in old_marks:
-                raise AssertionError("valley appeared at a carried step that was no valley")
-            marks.append(old_marks[old_u])
-    return LatticePath(new_steps, tuple(marks), PathKind.VMSTEADY)
+def _marks_by_step(steps, valleys, marks):
+    """A mark travels with its valley's U step: each valley's mark at the
+    index of its U step, None at every other step, spliced like the steps."""
+    at = [None] * len(steps)
+    for (u, _), m in zip(valleys, marks):
+        at[u] = m
+    return at
 
 
-def _reassemble(old_steps, pieces):
-    """Concatenate pieces, each either ('old', i, j) for old_steps[i:j] or
-    ('new', text); returns (steps, new->old index map, new indices of 'new')."""
-    out = []
-    carried: dict[int, int] = {}
-    fresh: list[int] = []
-    for piece in pieces:
-        if piece[0] == "old":
-            _, i, j = piece
-            for k in range(i, j):
-                carried[len(out)] = k
-                out.append(old_steps[k])
-        else:
-            for c in piece[1]:
-                fresh.append(len(out))
-                out.append(c)
-    return "".join(out), carried, fresh
+def _image(name, steps, at):
+    """The valley-marked steady path on steps whose valleys read their marks
+    off the per-step list at, validated."""
+    marks = tuple(at[u] for u, _ in path_valleys(steps))
+    if None in marks:
+        raise AssertionError("valley appeared at a carried step that was no valley")
+    out = LatticePath(steps, marks, PathKind.VMSTEADY)
+    if not is_valid(out):
+        raise AssertionError(f"{name} image invalid: {validate(out).violations[0].detail}")
+    return out
 
 
 def phi(path: LatticePath) -> LatticePath:
@@ -198,28 +184,16 @@ def _phi(path: LatticePath) -> LatticePath:
     if steps[u_star] != "U":
         raise AssertionError("matching step of the valley's D is not a U")
     d_w = _first_drop_right(hs, w + 1, k + 2)  # matching D of the W
-    d_u = _first_drop_right(hs, d_w + 1, k + 1)  # matching D of the valley's U
-    a_empty = u_star + 1 == d
-    if a_empty:
-        pieces = [
-            ("old", 0, u_star + 1),
-            ("old", w + 1, d_w),  # B, shifted down one level
-            ("new", "UD"),
-            ("old", d_w + 1, d_u),  # C
-            ("old", d_u, len(steps)),  # closing D and suffix
-        ]
-    else:
-        pieces = [
-            ("old", 0, d),  # prefix, the matching U, and A
-            ("new", "U"),
-            ("old", w + 1, len(steps)),  # B, both matching Ds, C, suffix
-        ]
-    new_steps, carried, fresh = _reassemble(steps, pieces)
-    old_marks = {u: m for (u, _), m in zip(path_valleys(steps), path.marks)}
-    out = _transfer_marks(old_marks, new_steps, carried, fresh[0], old_marks[d + 1] + 1)
-    if not is_valid(out):
-        raise AssertionError(f"phi image invalid: {validate(out).violations[0].detail}")
-    return out
+    _first_drop_right(hs, d_w + 1, k + 1)  # raises unless the valley's U has a matching D
+    # D-U-W at d..w goes; the valley's U returns before the W's matching D if
+    # A (u_star + 1..d) is empty, shifting B down a level, else in its place
+    ins = d_w if u_star + 1 == d else w + 1
+    at = _marks_by_step(steps, path_valleys(steps), path.marks)
+
+    def splice(seq, fresh):
+        return seq[:d] + seq[w + 1 : ins] + fresh + seq[ins:]
+
+    return _image("phi", splice(steps, "U"), splice(at, [at[d + 1] + 1]))
 
 
 def theta(path: LatticePath) -> LatticePath:
@@ -244,33 +218,22 @@ def _theta(path: LatticePath) -> LatticePath:
         ((u, h) for (u, h), m in zip(valleys, marks) if m > 0),
         key=lambda vh: (vh[1], -vh[0]),
     )
-    old_marks = {u: m for (u, _), m in zip(valleys, marks)}
     a_start = v_u - 1
     while a_start > 0 and hs[a_start - 1] >= k:
         a_start -= 1
     if steps[a_start - 1] != "U":
         raise AssertionError("step entering the valley's level is not a U")
     d_b = _first_drop_right(hs, v_u + 1, k + 1)  # matching D of the valley's U
-    d_c = _first_drop_right(hs, d_b + 1, k)  # D closing the factor C
-    b_empty = d_b == v_u + 1
-    if b_empty:
-        pieces = [
-            ("old", 0, a_start),
-            ("new", "DUW"),
-            ("old", a_start, v_u),  # A, shifted up one level
-            ("old", d_b, len(steps)),  # its closing D, C, the next D, suffix
-        ]
-    else:
-        pieces = [
-            ("old", 0, v_u),  # prefix and A
-            ("new", "DUW"),
-            ("old", v_u + 1, len(steps)),  # B, both Ds, C, suffix
-        ]
-    new_steps, carried, fresh = _reassemble(steps, pieces)
-    out = _transfer_marks(old_marks, new_steps, carried, fresh[1], old_marks[v_u] - 1)
-    if not is_valid(out):
-        raise AssertionError(f"theta image invalid: {validate(out).violations[0].detail}")
-    return out
+    _first_drop_right(hs, d_b + 1, k)  # raises unless a D closes the factor C
+    # the valley's U goes; a fresh D-U-W enters before A (a_start..v_u) if B
+    # (v_u + 1..d_b) is empty, shifting A up a level, else in the U's place
+    ins = a_start if d_b == v_u + 1 else v_u
+    at = _marks_by_step(steps, valleys, marks)
+
+    def splice(seq, fresh):
+        return seq[:ins] + fresh + seq[ins:v_u] + seq[v_u + 1 :]
+
+    return _image("theta", splice(steps, "DUW"), splice(at, [None, at[v_u] - 1, None]))
 
 
 # -- the full exchanges ----------------------------------------------------------------

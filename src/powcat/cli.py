@@ -170,8 +170,20 @@ def _cmd_series(args):
     return 0, _render(args.format, [",".join(map(str, values))], values)
 
 
+class _HelpText(Exception):
+    """The text --help asked for, carried out of parsing to run_command."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (its subparsers too) that hands its help text to
+    run_command instead of writing it to sys.stdout."""
+
+    def print_help(self, file=None):
+        raise _HelpText(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powcat",
         description="Pattern-avoiding inversion sequences, succession rules, "
         "steady paths, and powered Catalan combinatorics.",
@@ -221,6 +233,8 @@ def run_command(argv) -> tuple[int, str]:
     """Run one CLI invocation; returns (exit code, stdout text)."""
     try:
         args = build_parser().parse_args(argv)
+    except _HelpText as text:
+        return 0, str(text)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), ""
     try:

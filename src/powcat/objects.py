@@ -680,12 +680,12 @@ def parse_object(text: str, kind: str):
 def text_size(text: str, kind: str) -> int:
     """Size of the object a text of the given kind describes, read off the
     text without parsing it: the entries of an integer list, the up steps of
-    a path, the labels of a tree less the root.  Equal to the parsed
-    object's size whenever the text parses."""
+    a path, the labels of a tree less the root (0 for a text with none).
+    Equal to the parsed object's size whenever the text parses."""
     if kind in ("invseq", "invtable", "perm"):
         return text.count(",") + 1
     if kind == "tree":
-        return len(re.findall(r"\d+", text)) - 1
+        return max(len(re.findall(r"\d+", text)) - 1, 0)
     return text.partition(";")[0].count("U")
 
 

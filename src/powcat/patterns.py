@@ -101,7 +101,11 @@ class WordPattern:
 
     @classmethod
     def parse(cls, text: str) -> "WordPattern":
-        return cls(tuple(int(c) for c in text.strip()))
+        text = text.strip()
+        for i, c in enumerate(text):
+            if not c.isdecimal():
+                raise ParseError(f"bad word letter {c!r} in {text!r}", position=i + 1)
+        return cls(tuple(int(c) for c in text))
 
     def __str__(self):
         return "".join(str(c) for c in self.word)
@@ -135,7 +139,7 @@ class VincularPattern:
             if not g:
                 raise ParseError(f"empty dash group in {text!r}")
             for j, c in enumerate(g):
-                if not c.isdigit():
+                if not c.isdecimal():
                     raise ParseError(f"bad pattern letter {c!r} in {text!r}")
                 perm.append(int(c))
                 if j > 0:

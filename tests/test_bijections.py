@@ -1,5 +1,7 @@
 """Inversion tables, the two permutation correspondences, and the
 W-step/mark exchange maps with their statistics contract."""
+import hashlib
+
 import pytest
 
 from powcat.bijections import (
@@ -28,7 +30,7 @@ from powcat.objects import (
     path_statistics,
     to_text,
 )
-from powcat.patterns import avoids_vincular, enumerate_class, perm_class_raw, steady_words
+from powcat.patterns import avoids_vincular, enumerate_class, perm_class_raw, steady_words, vmsteady_paths_raw
 
 # the size-8 steady path whose up steps sit at diagonal distances
 # (5,3,0,4,1,0,1,0) when read right to left
@@ -137,6 +139,26 @@ def test_phi_worked_example():
     img = phi(p)
     assert to_text(img) == "UUUDUDDD;marks=1"
     assert to_text(theta(img)) == "UUDUWUDDDD;marks=0"
+    # phi with a nonempty block A inside the valley's factor, theta with a
+    # nonempty block B after the marked valley; the pair above has neither
+    assert to_text(phi(make_path("UUDDUWWUDDDD", kind=PathKind.VMSTEADY))) == "UUDUWUDDDD;marks=1"
+    assert to_text(theta(LatticePath("UUDUWUDDDD", (1,), PathKind.VMSTEADY))) == "UUDDUWWUDDDD;marks=0"
+
+
+def test_phi_and_theta_exact_images_up_to_size_6():
+    # round trips would pass for a consistent but different pair of maps; this
+    # digest pins every single-step image, in enumeration order, for n <= 6
+    lines = []
+    for n in range(1, 7):
+        for w, m in vmsteady_paths_raw(n):
+            p = LatticePath(w, m, PathKind.VMSTEADY)
+            if "W" in w:
+                lines.append(f"{to_text(p)} phi {to_text(phi(p))}\n")
+            if any(m):
+                lines.append(f"{to_text(p)} theta {to_text(theta(p))}\n")
+    assert len(lines) == 1902
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "1e927464c85416483ad3682340875a5617ae6fc66d040e4027af39806a04edc2"
 
 
 def test_phi_requires_a_w_step():

@@ -11,6 +11,7 @@ import pytest
 import powcat
 from powcat.cli import export_table, run_command
 from powcat.errors import SIZE_LIMITS
+from powcat.objects import text_size
 
 
 def run(argv):
@@ -223,6 +224,13 @@ def test_deep_tree_input_is_rejected_before_parsing():
     assert run(["grow", "--family", "pcat:tree", "--input", deep]) == (2, "")
 
 
+def test_empty_tree_input_is_worded_by_the_parser(capsys):
+    # the size read off the text is floored at 0, so the parser, not the bound, rejects it
+    assert text_size("", "tree") == 0
+    assert run(["grow", "--family", "pcat:tree", "--input", ""]) == (2, "")
+    assert capsys.readouterr().err == "error: expected one root, found 0 (at position 1)\n"
+
+
 def test_conjecture_size_is_bounded():
     for n in ("0", "11"):
         code, out = run(["conjecture", "--n", n])
@@ -322,6 +330,18 @@ def test_export_table_is_byte_stable():
     assert export_table(rows, "csv") == "1,2,3\n4,5,6\n"
     as_json = export_table({"b": 1, "a": 2}, "json")
     assert as_json == '{"a":2,"b":1}\n'
+
+
+def test_help_is_returned_as_the_stdout_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, usage in ((["--help"], "usage: powcat [-h]"), (["count", "--help"], "usage: powcat count [-h]")):
+        code, out = run(argv)
+        assert code == 0 and out.startswith(usage), argv
+        assert capsys.readouterr().out == "", argv
+    src = str(Path(powcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "powcat", "count", "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == run(["count", "--help"])
 
 
 @pytest.mark.parametrize("n, code", [(5, 0), (SIZE_LIMITS["tree"][0] - 1, 2), (SIZE_LIMITS["tree"][1] + 1, 2)])

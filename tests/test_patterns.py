@@ -302,12 +302,16 @@ def test_enumeration_is_sorted_by_text():
 def test_pattern_parse_errors():
     from powcat.errors import ParseError
 
-    with pytest.raises(ParseError):
-        WordPattern.parse("")
+    for text in ("", "1a", "1-0", "1\u00b2"):
+        with pytest.raises(ParseError):
+            WordPattern.parse(text)
+    with pytest.raises(ParseError, match=r"bad word letter 'a' in '1a' \(at position 2\)"):
+        WordPattern.parse("1a")
     with pytest.raises(ParseError):
         VincularPattern.parse("1--2")
-    with pytest.raises(ParseError):
-        VincularPattern.parse("1-0")
+    for text in ("1-0", "1\u00b2"):  # a superscript two is a digit to str.isdigit but not to int()
+        with pytest.raises(ParseError):
+            VincularPattern.parse(text)
     with pytest.raises(ParseError):
         RelationTriple.parse("geq,geq")
     with pytest.raises(ParseError):
