@@ -12,6 +12,7 @@ membership, or a size outside errors.SIZE_LIMITS; rejected before computing),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -229,10 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; build_parser() stays a fresh one.
+    Parsing keeps no state between calls, and the help text is formatted
+    anew on each --help, so the terminal width is still read per call."""
+    return build_parser()
+
+
 def run_command(argv) -> tuple[int, str]:
     """Run one CLI invocation; returns (exit code, stdout text)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _HelpText as text:
         return 0, str(text)
     except SystemExit as exc:

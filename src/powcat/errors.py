@@ -20,6 +20,17 @@ class MembershipError(ValueError):
     """Input object is not a member of the family an operation requires."""
 
 
+class UnknownNameError(ValueError, KeyError):
+    """A name (rule, sequence, growth family, suite) that its table does not
+    hold; also a KeyError, as a table lookup raises, but worded as a plain
+    message."""
+
+    __str__ = ValueError.__str__
+
+    def __init__(self, what: str, name, known):
+        super().__init__(f"unknown {what} {name!r}; known: {', '.join(sorted(known))}")
+
+
 # (lowest, highest) of every size a public entry point takes; each highest is
 # at least the largest size a test, verify check or benchmark uses.  e3 and
 # triangle count from 0, reference sequences (catalan .. semibaxter) from 1;

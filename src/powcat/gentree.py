@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Callable, NamedTuple
 
-from .errors import check_size
+from .errors import UnknownNameError, check_size
 
 Label = tuple[int, ...]
 
@@ -128,7 +128,7 @@ def get_rule(rule) -> SuccessionRule:
     try:
         return RULES[rule]
     except KeyError:
-        raise KeyError(f"unknown rule {rule!r}; known: {', '.join(sorted(RULES))}") from None
+        raise UnknownNameError("rule", rule, RULES) from None
 
 
 def expand_label(rule, label: Label) -> tuple[Label, ...]:

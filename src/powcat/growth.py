@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .errors import MembershipError
+from .errors import SIZE_LIMITS, MembershipError, UnknownNameError, check_size
 from .gentree import Label, expand_label
 from .objects import (
     InversionSequence,
@@ -401,8 +401,14 @@ def growth_consistency(family: str, n_max: int) -> GrowthReport:
     parents.  Children and members are counted by value; text only words
     a violation.  Every count is positive, so plain dict equality is exact
     for the Counters and reuses their stored hashes, where Counter.__eq__
-    looks every key up again through the objects' Python-level __hash__."""
+    looks every key up again through the objects' Python-level __hash__.
+    n_max + 1, the size of the last members, lies within the size range of
+    the family's objects; LimitError before any work otherwise."""
+    if family not in FAMILIES:
+        raise UnknownNameError("growth family", family, FAMILIES)
     fam = FAMILIES[family]
+    size = "path" if fam.kind in ("vmdyck", "steady") else fam.kind
+    check_size(size, n_max, SIZE_LIMITS[size][1] - 1)
     violations = []
     checked = 0
     members = fam.enumerate(1)

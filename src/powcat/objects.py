@@ -126,6 +126,9 @@ class OrderedTree:
 
     def __init__(self, label: int, children=()):
         children = tuple(children)
+        for i, child in enumerate(children):
+            if not isinstance(child, OrderedTree):
+                raise TypeError(f"child {i} of a tree must be an OrderedTree, not {child!r}")
         object.__setattr__(self, "labels", (label,) + tuple(chain.from_iterable(c.labels for c in children)))
         object.__setattr__(self, "arity", (len(children),) + tuple(chain.from_iterable(c.arity for c in children)))
 

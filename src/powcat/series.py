@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import comb
 from operator import add, itemgetter, sub
 
-from .errors import check_size
+from .errors import UnknownNameError, check_size
 from .gentree import label_distribution
 
 @dataclass(frozen=True)
@@ -107,10 +107,11 @@ def reference_sequence(name: str, n_max: int) -> list[int]:
     """Reference terms for sizes 1..n_max.
 
     catalan and baxter by closed sums, a108307, pcat and semibaxter by
-    recurrences.  KeyError for an unknown name.
+    recurrences.  UnknownNameError for an unknown name.
     """
-    if name not in ("catalan", "a108307", "pcat", "baxter", "semibaxter"):
-        raise KeyError(f"unknown sequence {name!r}")
+    known = ("catalan", "a108307", "pcat", "baxter", "semibaxter")
+    if name not in known:
+        raise UnknownNameError("sequence", name, known)
     check_size(name, n_max)
     if name == "catalan":
         return [catalan_number(n) for n in range(1, n_max + 1)]

@@ -18,7 +18,7 @@ from itertools import permutations, product
 from operator import methodcaller
 
 from . import bijections, growth, patterns, series
-from .errors import check_size
+from .errors import UnknownNameError, check_size
 from .gentree import label_distribution, level_counts, p1234_to_steady_relabel, rules_isomorphic_check
 from .objects import PathKind, last_descent_length, make_path, path_statistics, to_text
 from .patterns import RelationTriple, VincularPattern, WordPattern, count_class, enumerate_class, invseq_members
@@ -462,6 +462,8 @@ def run_suite(suite: str, jobs: int = 1, progress=None):
     lies in its SIZE_LIMITS range; more workers than checks or CPUs are not
     started."""
     check_size("jobs", jobs)
+    if suite not in SUITES:
+        raise UnknownNameError("suite", suite, SUITES)
     fns = SUITES[suite]
     results = []
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import powcat
+from powcat import cli
 from powcat.cli import export_table, run_command
 from powcat.errors import SIZE_LIMITS
 from powcat.objects import text_size
@@ -342,6 +343,43 @@ def test_help_is_returned_as_the_stdout_text(monkeypatch, capsys):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "powcat", "count", "--help"], capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == run(["count", "--help"])
+
+
+def test_one_parser_serves_every_request(monkeypatch):
+    import powcat.verify as verify_mod
+
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    def failing_check():
+        return verify_mod.CheckResult(name="fake", ok=False, sizes="n/a", elapsed=0.0, counterexample="boom")
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    monkeypatch.setitem(verify_mod.SUITES, "series", (failing_check,))
+    assert run(["count", "--family", "tree", "--n", "3"]) == (0, "6\n")
+    assert run(["levels", "--rule", "unknown", "--depth", "3"]) == (2, "")
+    code, out = run(["count", "--help"])
+    assert code == 0 and out.startswith("usage: powcat count")
+    code, out = run(["verify", "series"])
+    assert code == 1 and "boom" in out
+    assert run(["count", "--family", "tree", "--n", "3"]) == (0, "6\n")
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_the_cached_parser_keeps_no_state_between_requests(monkeypatch):
+    from test_cli_golden import CASES, observe
+
+    cli._parser.cache_clear()
+    cached = [observe(argv) for argv in CASES]
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [observe(argv) for argv in CASES] == cached
 
 
 @pytest.mark.parametrize("n, code", [(5, 0), (SIZE_LIMITS["tree"][0] - 1, 2), (SIZE_LIMITS["tree"][1] + 1, 2)])

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from powcat.errors import SIZE_LIMITS, LimitError, check_size
-from powcat.gentree import label_distribution, level_counts
+from powcat.errors import SIZE_LIMITS, LimitError, UnknownNameError, check_size
+from powcat.gentree import get_rule, label_distribution, level_counts
+from powcat.growth import FAMILIES, growth_consistency
 from powcat.objects import PathKind
 from powcat.patterns import RelationTriple, VincularPattern, WordPattern, count_class, enumerate_class
 from powcat.series import (
@@ -81,3 +82,34 @@ def test_highest_override_replaces_the_table_bound():
         check_size("path", 10, highest=9)
     with pytest.raises(LimitError):
         check_size("path", 0, highest=9)
+
+
+# the largest n_max of each growth that verify certifies (the bench uses 6)
+CERTIFIED_N_MAX = {**{family: 7 for family in FAMILIES}, "cat": 8}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_growth_n_max_is_bounded_by_its_object_size(family):
+    assert growth_consistency(family, 1).ok
+    size = "path" if FAMILIES[family].kind in ("vmdyck", "steady") else FAMILIES[family].kind
+    top = SIZE_LIMITS[size][1]
+    assert CERTIFIED_N_MAX[family] + 1 <= top
+    for n_max in (-5, 0, top, 100):
+        t0 = time.perf_counter()
+        with pytest.raises(LimitError):
+            growth_consistency(family, n_max)
+        assert time.perf_counter() - t0 < 1.0, (family, n_max)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: get_rule("nope"),
+    lambda: level_counts("nope", 3),
+    lambda: reference_sequence("nope", 3),
+    lambda: growth_consistency("zzz", 3),
+    lambda: run_suite("nope"),
+], ids=["get_rule", "level_counts", "reference_sequence", "growth_consistency", "run_suite"])
+def test_unknown_names_raise_one_value_error_that_is_also_a_key_error(call):
+    with pytest.raises(UnknownNameError, match="unknown .* known: ") as info:
+        call()
+    assert isinstance(info.value, ValueError) and isinstance(info.value, KeyError)
+    assert not str(info.value).startswith("'")

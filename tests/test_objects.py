@@ -434,6 +434,13 @@ def test_tree_validation():
     assert any(v.invariant == "increasing" for v in validate(bad_parent).violations)
 
 
+def test_tree_children_must_be_trees():
+    for children, bad in (((5,), "5"), ((OrderedTree(1), "1"), "'1'")):
+        with pytest.raises(TypeError, match=f"child {len(children) - 1} of a tree must be an OrderedTree, not {bad}"):
+            OrderedTree(0, children)
+    assert OrderedTree(0, [OrderedTree(1)]) == parse_object("0(1)", "tree")
+
+
 def test_tree_text_separates_sibling_leaves():
     t = OrderedTree(0, (OrderedTree(1), OrderedTree(2)))
     assert to_text(t) == "0(1,2)"
