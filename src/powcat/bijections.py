@@ -1,5 +1,6 @@
 """Explicit bijections: inversion tables, the Catalan correspondence, the
-steady-path encoding, and the W-step/mark exchange maps.
+steady-path correspondence through the steady code, and the W-step/mark
+exchange maps.
 
 The two path transformations move one unit between the W-step count and the
 total mark while fixing their sum, the diagonal steps, and the returns to
@@ -16,12 +17,12 @@ from .objects import (
     Permutation,
     is_valid,
     make_path,
-    path_from_up_points,
     path_heights,
     path_valleys,
     require_valid,
+    steady_code,
+    steady_word,
     to_text,
-    up_step_points,
     validate,
 )
 from .patterns import VincularPattern, avoids_vincular, in_invseq_family
@@ -80,20 +81,12 @@ def catalan_perm_to_invseq(p: Permutation) -> InversionSequence:
 
 
 # -- steady paths <-> AV(1-34-2) ----------------------------------------------------
-# The encoding distance of an up step starting at (i, j) is (i - j) / 2: up
-# steps sit on y = -x + 2(k-1), so this is the integer count of diagonals
-# between the step and y = x, and it ranges over [0, n-k] exactly.
-
-
-def steady_encoding(path: LatticePath) -> tuple[int, ...]:
-    """Diagonal distances of the up-step starts, read right to left."""
-    pts = up_step_points(path.steps)
-    return tuple((i - j) // 2 for i, j in reversed(pts))
 
 
 def steady_to_perm(path: LatticePath) -> Permutation:
+    """Read the steady code reversed as a left inversion table, invert."""
     require_valid(_as_kind(path, PathKind.STEADY), "a steady path")
-    p = left_inversion_table_inverse(steady_encoding(path))
+    p = left_inversion_table_inverse(reversed(steady_code(path.steps)))
     if not avoids_vincular(p, PAT_1_34_2):
         raise AssertionError(f"image {to_text(p)} escaped AV(1-34-2)")
     return p
@@ -103,10 +96,7 @@ def perm_to_steady(p: Permutation) -> LatticePath:
     require_valid(p, "a permutation")
     if not avoids_vincular(p, PAT_1_34_2):
         raise MembershipError(f"{to_text(p)} does not avoid 1-34-2")
-    t = left_inversion_table(p)
-    n = len(t)
-    pts = [(m + t[n - 1 - m], m - t[n - 1 - m]) for m in range(n)]
-    path = make_path(path_from_up_points(pts), kind=PathKind.STEADY)
+    path = make_path(steady_word(reversed(left_inversion_table(p))), kind=PathKind.STEADY)
     if not is_valid(path):
         raise AssertionError(f"image {path.steps} is not steady: {validate(path).violations[0].detail}")
     return path

@@ -26,11 +26,11 @@ from .objects import (
     is_valid,
     last_descent_length,
     make_path,
-    path_from_up_points,
     root_child_bounds,
+    steady_code,
+    steady_word,
     to_text,
     require_valid,
-    up_step_points,
 )
 from .patterns import (
     VincularPattern,
@@ -228,16 +228,16 @@ def steady_label(path: LatticePath) -> Label:
 
 def steady_children(path: LatticePath):
     """Children by a new rightmost up step at each admissible height i, which
-    runs up to n - t/2 = h + k - 1 for the label (h, k)."""
+    runs up to n - t/2 = h + k - 1 for the label (h, k): the step starts at
+    (2n - i, i), so the child's code is the parent's with d = n - i appended."""
     _require_member(path, STEADY_CLASS, "a steady path")
     n = path.size
-    pts = up_step_points(path.steps)
+    code = steady_code(path.steps)
     h, k = steady_label(path)
     out = []
     for i in range(h + k):
-        child = path_from_up_points(pts + [(2 * n - i, i)])
         label = (h + k - 1 - i, i + 2) if i < k - 1 else (0, i + 2)
-        out.append((make_path(child, kind=PathKind.STEADY), label))
+        out.append((make_path(steady_word(code + (n - i,)), kind=PathKind.STEADY), label))
     return out
 
 

@@ -285,7 +285,10 @@ def returns_to_axis(steps: str) -> int:
 
 
 def path_statistics(path: LatticePath) -> PathStatistics:
-    """All seven path statistics; see PathStatistics for the field set."""
+    """All seven path statistics; see PathStatistics for the field set.
+    MembershipError, before anything is computed, unless the path is valid
+    for its kind."""
+    require_valid(path, f"a {path.kind.value} path")
     steps = path.steps
     vals = path_valleys(steps)
     returns_mark = sum(1 for (_, h), m in zip(vals, path.marks) if m == h)
@@ -300,30 +303,32 @@ def path_statistics(path: LatticePath) -> PathStatistics:
     )
 
 
-def path_from_up_points(points: list[tuple[int, int]]) -> str:
-    """Rebuild the unique W/D-connected step word from up-step start points.
-
-    The k-th point must satisfy j = -i + 2(k-1); consecutive up steps are
-    joined by a run of D steps (moving right) or W steps (moving left), and
-    the word closes with the descent back to the x-axis.
-    """
-    word = []
-    for k, (i, j) in enumerate(points):
-        if j != -i + 2 * k:
-            raise ValueError(f"up-step start {k + 1} off its diagonal: {(i, j)}")
-        if k > 0:
-            pi, pj = points[k - 1]
-            gap = i - (pi + 1)
-            word.append("D" * gap if gap >= 0 else "W" * (-gap))
-        word.append("U")
-    last_i, last_j = points[-1]
-    word.append("D" * (last_j + 1))
-    return "".join(word)
+def steady_code(steps: str) -> tuple[int, ...]:
+    """The code d_1..d_n of a steady word: d_k is half the x - y of the k-th
+    up step's start.  U keeps x - y, D raises it by 2 and W lowers it by 2,
+    so d_k counts the D steps less the W steps before the k-th U.  The code
+    of a steady path is an inversion sequence, and read reversed it is the
+    left inversion table of the path's permutation in AV(1-34-2)."""
+    return tuple(accumulate(run.count("D") - run.count("W") for run in steps.split("U")[:-1]))
 
 
-def up_step_points(steps: str) -> list[tuple[int, int]]:
-    pts = path_points(steps)
-    return [pts[i] for i, s in enumerate(steps) if s == "U"]
+def steady_word(code) -> str:
+    """Inverse of steady_code: the word whose k-th up step starts on
+    x - y = 2 d_k, for an inversion sequence d (ValueError otherwise).
+    Consecutive up steps are joined by d_k - d_{k-1} D steps, or by as many
+    W steps when that is negative, and the word closes with the descent
+    to the x-axis.  The word is confined to the cone 0 <= y <= x; it is a
+    steady word exactly when no later d_j falls below the d_k of a UU or WU
+    factor (S1/S2), which validate() checks."""
+    parts = []
+    prev = 0
+    for k, d in enumerate(code):
+        if not 0 <= d <= k:
+            raise ValueError(f"d_{k + 1} = {d} violates 0 <= d_{k + 1} < {k + 1}")
+        parts.append("D" * (d - prev) + "W" * (prev - d) + "U")  # one of the two runs is empty
+        prev = d
+    parts.append("D" * (len(parts) - prev))
+    return "".join(parts)
 
 
 # -- validation ---------------------------------------------------------------

@@ -551,13 +551,11 @@ def vmdyck_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 @lru_cache(maxsize=None)
 def steady_words(n) -> tuple[str, ...]:
-    """All steady words of size n via the diagonal-distance encoding, in
-    lexicographic order of the encoding.
+    """All steady words of size n, in lexicographic order of their codes
+    (objects.steady_code).
 
-    Any sequence (d_1..d_n), 0 <= d_k <= k-1, places the k-th up step at
-    (k-1+d_k, k-1-d_k) and yields a well-formed cone-confined W/D-connected
-    word (see path_from_up_points); only S1/S2 remain.  U keeps x - y, D
-    raises it by 2 and W lowers it by 2.  So the k-th up step starts on
+    Any inversion sequence d_1..d_n is the code of a cone-confined word,
+    objects.steady_word(d); only S1/S2 remain.  The k-th up step starts on
     x - y = 2 d_k; the step before it is U, W or D as d_k equals, is below
     or is above d_{k-1}, so a UU or WU factor ends at it exactly when
     d_k <= d_{k-1}; and the path after it drops below x - y = 2 d_k exactly

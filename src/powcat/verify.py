@@ -23,13 +23,13 @@ from .gentree import label_distribution, level_counts, p1234_to_steady_relabel, 
 from .objects import PathKind, last_descent_length, make_path, path_statistics, to_text
 from .patterns import RelationTriple, VincularPattern, WordPattern, count_class, enumerate_class, invseq_members
 
-# reference enumeration prefixes, sizes 1..len
-FAMILY_PREFIXES = {
-    "cat": (1, 2, 5, 14, 42, 132, 429, 1430, 4862),
-    "i-geq3": (1, 2, 5, 15, 51, 191, 772, 3320),
-    "bax": (1, 2, 6, 22, 92, 422, 2074),
-    "semi": (1, 2, 6, 23, 104, 530, 2958),
-    "pcat": (1, 2, 6, 23, 105, 549, 3207),
+# each family's series.reference_sequence name and the sizes 1..n it is counted at
+FAMILY_REFERENCES = {
+    "cat": ("catalan", 9),
+    "i-geq3": ("a108307", 8),
+    "bax": ("baxter", 7),
+    "semi": ("semibaxter", 7),
+    "pcat": ("pcat", 7),
 }
 
 # the eight classical-pattern correspondences, all checked at sizes <= 7
@@ -97,11 +97,12 @@ def check(name: str, sizes: str):
 
 @check("family-counts", "n <= 9/8/7/7/7")
 def check_family_counts():
-    """Exhaustive family sizes against the reference enumeration prefixes."""
-    for fam, prefix in FAMILY_PREFIXES.items():
-        got = tuple(len(invseq_members(fam, n)) for n in range(1, len(prefix) + 1))
-        if got != prefix:
-            yield f"{fam}: counted {got}, expected {prefix}"
+    """Exhaustive family sizes against the reference sequences."""
+    for fam, (name, n_max) in FAMILY_REFERENCES.items():
+        expected = tuple(series.reference_sequence(name, n_max))
+        got = tuple(len(invseq_members(fam, n)) for n in range(1, n_max + 1))
+        if got != expected:
+            yield f"{fam}: counted {got}, expected {expected}"
 
 
 @check("word-characterizations", "n <= 9")
@@ -270,7 +271,7 @@ def check_catalan_correspondence():
 
 @check("steady-correspondence", "n <= 8")
 def check_steady_correspondence():
-    """Diagonal-distance encoding is a bijection steady paths -> AV(1-34-2)."""
+    """The steady-code map is a bijection steady paths -> AV(1-34-2)."""
     for n in range(1, 9):
         words = patterns.steady_words(n)
         images = set()

@@ -8,6 +8,7 @@ from powcat.bijections import (
     PAT_1_23,
     PAT_1_34_2,
     PAT_2_14_3,
+    _image,
     catalan_invseq_to_perm,
     catalan_perm_to_invseq,
     left_inversion_table,
@@ -15,7 +16,6 @@ from powcat.bijections import (
     perm_to_steady,
     phi,
     phi_star,
-    steady_encoding,
     steady_to_perm,
     theta,
     theta_star,
@@ -28,12 +28,14 @@ from powcat.objects import (
     Permutation,
     make_path,
     path_statistics,
+    steady_code,
     to_text,
+    validate,
 )
 from powcat.patterns import avoids_vincular, enumerate_class, perm_class_raw, steady_words, vmsteady_paths_raw
 
-# the size-8 steady path whose up steps sit at diagonal distances
-# (5,3,0,4,1,0,1,0) when read right to left
+# the size-8 steady path whose steady code, read right to left, is
+# (5,3,0,4,1,0,1,0)
 BIG_STEADY = "UDUWUDUDDDUWWWWUDDDUDDUDDD"
 
 
@@ -108,7 +110,7 @@ def test_steady_encoding_small_paths():
 
 def test_the_reference_distance_sequence():
     path = make_path(BIG_STEADY, kind=PathKind.STEADY)
-    assert steady_encoding(path) == (5, 3, 0, 4, 1, 0, 1, 0)
+    assert steady_code(path.steps)[::-1] == (5, 3, 0, 4, 1, 0, 1, 0)
     p = steady_to_perm(path)
     assert left_inversion_table(p) == (5, 3, 0, 4, 1, 0, 1, 0)
     assert avoids_vincular(p, PAT_1_34_2)
@@ -123,6 +125,19 @@ def test_steady_bijection_small():
             assert perm_to_steady(p).steps == w
             image.add(p.values)
         assert image == set(perm_class_raw((PAT_1_34_2,), n))
+
+
+def test_steady_maps_exact_images_up_to_size_8():
+    # the digest pins both maps on every input, in enumeration order, n <= 8
+    lines = []
+    for n in range(1, 9):
+        for w in steady_words(n):
+            lines.append(f"{w} {to_text(steady_to_perm(make_path(w, kind=PathKind.STEADY)))}\n")
+        for p in perm_class_raw((PAT_1_34_2,), n):
+            lines.append(f"{to_text(Permutation(p))} {perm_to_steady(Permutation(p)).steps}\n")
+    assert len(lines) == 2 * 24470
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "50ec93c674504b6af74c195cc8a4778dd282792705f9e95cb674077bce6ab330"
 
 
 def test_perm_to_steady_rejects_outsiders():
@@ -159,6 +174,17 @@ def test_phi_and_theta_exact_images_up_to_size_6():
     assert len(lines) == 1902
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == "1e927464c85416483ad3682340875a5617ae6fc66d040e4027af39806a04edc2"
+
+
+def test_an_invalid_image_is_reported_by_its_first_violation():
+    # the word breaks DW at step 5 and then WD at step 6; its one valley's U
+    # step is step 3 (index 2)
+    steps = "UDUUDWDD"
+    first, second = validate(LatticePath(steps, (0,), PathKind.VMSTEADY)).violations
+    assert (first.detail, second.detail) == ("forbidden DW factor", "forbidden WD factor")
+    with pytest.raises(AssertionError) as err:
+        _image("phi", steps, [None, None, 0, None, None, None, None, None])
+    assert str(err.value) == "phi image invalid: forbidden DW factor"
 
 
 def test_phi_requires_a_w_step():

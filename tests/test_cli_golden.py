@@ -58,7 +58,9 @@ ACCEPTED = [
     ["triangle", "--n", "0"],
     ["triangle", "--n", "5"],
     *[["grow", "--family", family, "--input", text] for family, text in GROW_INPUTS.items()],
+    ["grow", "--family", "steady", "--input", "UDUUDD"],  # floor 1 (edge line y = x - 2): children at d = 3, 2, 1
     *[["map", "--name", name, "--input", text] for name, text in MAP_INPUTS.items()],
+    ["map", "--name", "steady-perm-inv", "--input", "2,3,1,4,5"],
     *[["series", name, "--n", "6"] for name in SERIES],
     ["conjecture", "--n", "5"],
     ["verify", "series"],

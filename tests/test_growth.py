@@ -3,6 +3,8 @@
 Heavier exhaustive certification lives in the acceptance module; here the
 frozen small examples plus consistency and unique generation at n_max = 5-6.
 """
+import hashlib
+
 import pytest
 
 from powcat.errors import MembershipError
@@ -147,6 +149,17 @@ def test_steady_child_count_is_the_label_sum():
         for p in FAMILIES["steady"].enumerate(n):
             h, k = steady_label(p)
             assert len(steady_children(p)) == h + k
+
+
+def test_steady_children_exact_up_to_size_6():
+    # the digest pins every child and its label, in order, for n <= 6
+    lines = []
+    for n in range(1, 7):
+        for p in FAMILIES["steady"].enumerate(n):
+            lines += [f"{p.steps} {c.steps} {lab}\n" for c, lab in steady_children(p)]
+    assert len(lines) == 3892
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "fad1d21badd8dafe4cd546a2f30f63bea0ef036240a8d47e1e64c8240154ddca"
 
 
 def test_steady_rejects_non_members():

@@ -26,6 +26,8 @@ from powcat.objects import (
     path_statistics,
     path_valleys,
     require_valid,
+    steady_code,
+    steady_word,
     to_text,
     validate,
 )
@@ -49,6 +51,13 @@ def test_steady_s1_violation_reported_with_positions():
     s1 = [v for v in report.violations if v.invariant == "S1"]
     assert s1, report.violations
     assert any("(6,2)" in v.detail and "(6,4)" in v.detail and "x - 4" in v.detail for v in s1)
+
+
+def test_forbidden_factors_are_reported_at_their_first_step():
+    report = validate(make_path("UDUUDWDD", kind=PathKind.STEADY))
+    assert [(v.invariant, v.position) for v in report.violations] == [("factor-dw", 5), ("factor-wd", 6)]
+    report = validate(make_path("UUDUWDDD", kind=PathKind.STEADY))
+    assert [(v.invariant, v.position) for v in report.violations] == [("factor-wd", 5)]
 
 
 def test_invseq_bound_violation_names_position():
@@ -391,6 +400,41 @@ def test_returns_to_mark_counts_marks_on_the_valley():
     p = LatticePath("UDUDUD", (0, 0), PathKind.VMDYCK)
     st = path_statistics(p)
     assert st.returns_to_axis == 2 and st.returns_to_mark == 2
+
+
+def test_statistics_reject_invalid_paths():
+    with pytest.raises(MembershipError, match="below the x-axis"):
+        path_statistics(make_path("DDUU"))
+    with pytest.raises(MembershipError, match="mark 2 outside 0..1"):
+        path_statistics(LatticePath("UUDUDD", (2,), PathKind.VMDYCK))  # its valley sits at height 1
+
+
+# -- the steady code ----------------------------------------------------------------
+
+
+def test_steady_code_examples():
+    assert steady_code("UD") == (0,)
+    assert steady_code("UDUD") == (0, 1)
+    assert steady_code("UUDUWUDDDD") == (0, 0, 1, 0)
+    assert steady_word((0, 0, 1, 0)) == "UUDUWUDDDD"
+
+
+def test_steady_word_inverts_steady_code_on_every_steady_word():
+    for n in range(1, 9):
+        for w in steady_words(n):
+            assert steady_word(steady_code(w)) == w
+
+
+def test_steady_code_inverts_steady_word_on_every_inversion_sequence():
+    for n in range(1, 7):
+        for d in product(*map(range, range(1, n + 1))):
+            assert steady_code(steady_word(d)) == d
+
+
+@pytest.mark.parametrize("code", [(1,), (0, 2), (0, -1)])
+def test_steady_word_rejects_codes_that_are_no_inversion_sequences(code):
+    with pytest.raises(ValueError):
+        steady_word(code)
 
 
 # -- text formats -------------------------------------------------------------------

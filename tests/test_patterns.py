@@ -12,7 +12,7 @@ from powcat.objects import (
     PathKind,
     Permutation,
     make_path,
-    path_from_up_points,
+    steady_word,
     to_text,
     validate,
 )
@@ -379,7 +379,7 @@ def test_steady_words_match_the_validated_encodings():
     for n in range(1, 8):
         want = []
         for ds in product(*(range(m) for m in range(1, n + 1))):
-            word = path_from_up_points([(m + d, m - d) for m, d in enumerate(ds)])
+            word = steady_word(ds)
             if validate(make_path(word, kind=PathKind.STEADY)).ok:
                 want.append(word)
         assert list(steady_words(n)) == want, n

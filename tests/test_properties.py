@@ -26,8 +26,8 @@ from powcat.objects import (  # noqa: E402
     PathKind,
     Permutation,
     is_valid,
-    path_from_up_points,
     path_valleys,
+    steady_word,
     validate,
 )
 from powcat.patterns import (  # noqa: E402
@@ -73,7 +73,7 @@ def test_is_valid_agrees_with_validate_on_large_paths(data, n, source, kind, mar
     # word, and a random step may then break the shape
     if source == "encoding":
         d = [data.draw(st.integers(0, k)) for k in range(n)]
-        steps = path_from_up_points([(k + dk, k - dk) for k, dk in enumerate(d)])
+        steps = steady_word(d)
     else:
         steps = walk(data, source, n).steps
     if data.draw(st.booleans()):

@@ -72,7 +72,7 @@ def test_family_counts_stops_at_its_first_counterexample(monkeypatch):
         return members(fam, n)
 
     monkeypatch.setattr(verify, "invseq_members", counting)
-    monkeypatch.setitem(verify.FAMILY_PREFIXES, "cat", (1, 2, 6))
+    monkeypatch.setitem(verify.FAMILY_REFERENCES, "cat", ("pcat", 3))  # pcat's third term is 6
     result = verify.check_family_counts()
     assert (result.name, result.ok, result.sizes) == ("family-counts", False, "n <= 9/8/7/7/7")
     assert result.counterexample == "cat: counted (1, 2, 5), expected (1, 2, 6)"
