@@ -289,6 +289,11 @@ def path_statistics(path: LatticePath) -> PathStatistics:
     MembershipError, before anything is computed, unless the path is valid
     for its kind."""
     require_valid(path, f"a {path.kind.value} path")
+    return _path_statistics(path)
+
+
+def _path_statistics(path: LatticePath) -> PathStatistics:
+    """path_statistics of a path already known to be valid."""
     steps = path.steps
     vals = path_valleys(steps)
     returns_mark = sum(1 for (_, h), m in zip(vals, path.marks) if m == h)

@@ -32,7 +32,9 @@ validating it, and each test is exact:
 The last two keep exactly the prefixes that can be completed, so their
 searches have no dead ends.  The docstrings give each condition and why it
 holds.  Streams are reproducible: objects come out sorted by their
-canonical text.
+canonical text.  Each search stops at size n - 1, where a listing last
+step builds the children and a counting one adds up how many there are
+(count_class).
 
 The single-object oracles share the enumerators' state: avoids_triple
 carries the same two bitmasks over the same ban table in one left-to-right
@@ -42,9 +44,9 @@ _completing, in one search (_contains) with outer bounds -inf and inf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import product
-from math import inf
+from functools import cache, lru_cache, partial
+from itertools import product, repeat
+from math import inf, prod
 
 from .errors import ParseError, check_size
 from .objects import (
@@ -161,7 +163,7 @@ class VincularPattern:
 def avoids_triple(e, triple: RelationTriple) -> bool:
     """True when no i<j<k has e_i r1 e_j, e_j r2 e_k, e_i r3 e_k.
 
-    The state of invseq_class_raw read left to right: ``seen``, the values
+    The state of _invseq_walk read left to right: ``seen``, the values
     so far, and ``banned``, the values that would end an occurrence.  The
     relations see only order and equality, so any integer tuple is first
     moved onto values 0..n-1 of the same order and equality."""
@@ -432,12 +434,18 @@ def _ban_table(triples, words3, n):
 
 
 # -- enumerators ----------------------------------------------------------------
+# Each exhaustive enumerator is one walk over the members of size n - 1 (for
+# n >= 1; size 0 is its own case) that hands each member, with what the
+# search knows of its children, to a last step and adds up what that step
+# returns.  The listing form's last step returns the children, built in its
+# own loop; the counting form's returns how many there are, so a count never
+# builds the top level.  Both forms are cached.
 
 
-@lru_cache(maxsize=None)
-def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
-    """All inversion sequences of length n avoiding every listed pattern,
-    grown entry by entry in lexicographic order.
+def _invseq_walk(triples, words, n, last, acc):
+    """acc plus last(prefix, banned) over the members prefix of length n - 1,
+    in lexicographic order, where banned is the mask of the values whose
+    appending would complete an occurrence of a listed pattern.
 
     Whether a relation triple or a 3-letter word occurs at positions
     i < j < k depends only on the values (e_i, e_j, e_k).  So each prefix
@@ -447,27 +455,23 @@ def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
     placing v bans every c with (a, v, c) an occurrence for some a in seen.
     For a word of any other length, one search per prefix over the
     occurrences of the word less its last letter (_completing, as in
-    perm_class_raw) adds the values that would complete one to banned.
+    _perm_walk) adds the values that would complete one to banned.
     """
-    out = []
     bans = _ban_table(triples, [w.word for w in words if len(w.word) == 3], n)
     searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, words) if len(plan) != 3]
     # banned_after[v][seen]: the values banned by placing v after the set seen
     banned_after = [{} for _ in range(n)]
 
     def extend(prefix, seen, banned):
+        nonlocal acc
         m = len(prefix)
-        if m == n:
-            out.append(prefix)
-            return
         for plan, bounds in searches:
             banned |= _completing(prefix, plan, bounds, 0, 0)
+        if m + 1 == n:
+            acc += last(prefix, banned)
+            return
         for v in range(m + 1):
             if banned >> v & 1:
-                continue
-            cand = prefix + (v,)
-            if m + 1 == n:
-                out.append(cand)
                 continue
             add = banned_after[v].get(seen)
             if add is None:
@@ -476,17 +480,40 @@ def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
                     if seen >> a & 1:
                         add |= bans[a][v]
                 banned_after[v][seen] = add
-            extend(cand, seen | 1 << v, banned | add)
+            extend(prefix + (v,), seen | 1 << v, banned | add)
 
     extend((), 0, 0)
-    return tuple(out)
+    return acc
 
 
 @lru_cache(maxsize=None)
-def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
-    """All permutations of 1..n avoiding every listed vincular pattern, grown
-    by appending a rank: a permutation cur of 1..m has the children
-    cur' + (a,), a = 1..m+1 in turn, where cur' adds 1 to the values >= a.
+def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
+    """All inversion sequences of length n avoiding every listed pattern, in
+    lexicographic order: each member of length n - 1 (_invseq_walk) extended
+    by each value 0..n-1 that is not banned."""
+    if not n:
+        return ((),)
+    ends = cache(lambda banned: [(v,) for v in range(n) if not banned >> v & 1])  # few distinct masks
+    return tuple(_invseq_walk(triples, words, n, lambda prefix, banned: map(prefix.__add__, ends(banned)), []))
+
+
+@lru_cache(maxsize=None)
+def _invseq_count(triples, words, n) -> int:
+    """len(invseq_class_raw(triples, words, n)), by the same walk."""
+    values = (1 << n) - 1  # the values 0..n-1 an n-th entry may take
+    return _invseq_walk(triples, words, n, lambda prefix, banned: (values & ~banned).bit_count(), 0) if n else 1
+
+
+def _perm_children(cur, bad):
+    """The children cur' + (a,) of a permutation cur of 1..m for the ranks
+    a = 1..m+1 outside the mask bad, where cur' adds 1 to the values >= a."""
+    return [tuple([v if v < a else v + 1 for v in cur]) + (a,) for a in range(1, len(cur) + 2) if not bad >> a & 1]
+
+
+def _perm_walk(patterns, n, last, acc):
+    """acc plus last(cur, bad) over the members cur of size n - 1 (none when
+    n = 0), grown level by level through _perm_children, where bad is the
+    mask of the ranks whose appending would complete an occurrence.
 
     Deleting the last entry of a permutation and standardizing never makes
     an occurrence, so a child of a member contains a pattern only through
@@ -506,16 +533,29 @@ def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
     the same mask (k = 1 gives the empty occurrence and every rank).
     """
     searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, patterns)]
-    level = [()] if n >= 1 else []
+    level, grown = [()], acc  # acc itself when n = 0
     for m in range(n):
-        grown = []
+        step, grown = (last, acc) if m + 1 == n else (_perm_children, [])
         for cur in level:
             bad = 0
             for plan, bounds in searches:
                 bad |= _completing(cur, plan, bounds, 0, 0)
-            grown += [tuple([v if v < a else v + 1 for v in cur]) + (a,) for a in range(1, m + 2) if not bad >> a & 1]
+            grown += step(cur, bad)
         level = grown
-    return tuple(level)
+    return grown
+
+
+@lru_cache(maxsize=None)
+def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
+    """All permutations of 1..n avoiding every listed vincular pattern, grown
+    by appending a rank (_perm_walk, _perm_children); none when n = 0."""
+    return tuple(_perm_walk(patterns, n, _perm_children, []))
+
+
+@lru_cache(maxsize=None)
+def _perm_count(patterns, n) -> int:
+    """len(perm_class_raw(patterns, n)), by the same walk."""
+    return _perm_walk(patterns, n, lambda cur, bad: (((1 << len(cur) + 2) - 2) & ~bad).bit_count(), 0)
 
 
 @lru_cache(maxsize=None)
@@ -539,20 +579,12 @@ def dyck_words(n) -> tuple[str, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def vmdyck_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    out = []
-    for w in dyck_words(n):
-        heights = [h for _, h in path_valleys(w)]
-        for marks in product(*(range(h + 1) for h in heights)):
-            out.append((w, marks))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def steady_words(n) -> tuple[str, ...]:
-    """All steady words of size n, in lexicographic order of their codes
-    (objects.steady_code).
+def _steady_walk(n, last, acc):
+    """acc plus last(word, steps, floor) over the prefixes word of the steady
+    words of size n that end at their (n-1)-th up step, in lexicographic
+    order of their codes (objects.steady_code), where floor is the least
+    d_n the prefix allows and steps[d] the steps that follow it up to and
+    including an n-th up step with d_n = d.
 
     Any inversion sequence d_1..d_n is the code of a cone-confined word,
     objects.steady_word(d); only S1/S2 remain.  The k-th up step starts on
@@ -566,55 +598,120 @@ def steady_words(n) -> tuple[str, ...]:
     empties the range 0..k-1, so every prefix it keeps can be completed;
     the word is built as the d_k are chosen.
     """
-    out = []
+    # steps[p][d]: from an up step with d_k = p through the next, with d_{k+1} = d
+    steps = [["D" * (d - p) + "W" * (p - d) + "U" for d in range(n)] for p in range(n)]
 
     def extend(word, k, d_prev, floor):
-        if k == n:
-            out.append(word + "D" * (n - d_prev))
+        nonlocal acc
+        if k + 1 == n:
+            acc += last(word, steps[d_prev], floor)
             return
+        row = steps[d_prev]
         for d in range(floor, k + 1):
-            join = "D" * (d - d_prev) if d >= d_prev else "W" * (d_prev - d)
-            extend(word + join + "U", k + 1, d, d if d <= d_prev else floor)
+            extend(word + row[d], k + 1, d, d if d <= d_prev else floor)
 
     extend("", 0, 0, 0)
-    return tuple(out)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def steady_words(n) -> tuple[str, ...]:
+    """All steady words of size n, in lexicographic order of their codes: each
+    prefix of _steady_walk extended by each allowed n-th up step and the
+    closing descent."""
+    if not n:
+        return ("",)
+    def leaves(word, steps, floor):
+        return [word + steps[d] + "D" * (n - d) for d in range(floor, n)]
+
+    return tuple(_steady_walk(n, leaves, []))
+
+
+def _marked_walk(words, steady, last, acc):
+    """acc plus last(w, ranges) over the step words w, where ranges holds
+    the marks each valley of w may take: 0..h at height h, or 0 alone where
+    nonzero_mark_blockers blocks it (only when steady)."""
+    for w in words:
+        vals = path_valleys(w)
+        blocked = nonzero_mark_blockers(w, vals) if steady else [None] * len(vals)
+        acc += last(w, [(0,) if b else range(h + 1) for (_, h), b in zip(vals, blocked)])
+    return acc
+
+
+def _marked_paths(w, ranges):
+    return zip(repeat(w), product(*ranges))
+
+
+@lru_cache(maxsize=None)
+def vmdyck_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Dyck words with every valley at height h marked 0..h."""
+    return tuple(_marked_walk(dyck_words(n), False, _marked_paths, []))
 
 
 @lru_cache(maxsize=None)
 def vmsteady_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Steady words with every mark allowed by nonzero_mark_blockers: a
     blocked valley keeps mark 0, a free one at height h takes 0..h."""
-    out = []
-    for w in steady_words(n):
-        vals = path_valleys(w)
-        ranges = [(0,) if b else range(h + 1) for (_, h), b in zip(vals, nonzero_mark_blockers(w, vals))]
-        out += [(w, marks) for marks in product(*ranges)]
-    return tuple(out)
+    return tuple(_marked_walk(steady_words(n), True, _marked_paths, []))
 
 
-def _grow_trees(n, leaves_increasing: bool) -> tuple[OrderedTree, ...]:
-    """Increasing ordered trees on 0..n built from the root alone by placing
-    n, n-1, .., 1 under the root in turn, each over a run of consecutive root
-    children (which become its children) or as a leaf in a gap between them;
-    with leaves_increasing, a new leaf goes in the leftmost gap only.  The
-    search keeps an explicit stack of the root's children (pre-order labels
-    and arities, each child's start, then their end) and the next vertex,
-    which goes in before the first child of its run i..j; a leaf is i..i."""
-    out = []
+def _path_raw(kind: PathKind, n):
+    if kind.marked:
+        return vmdyck_paths_raw(n) if kind is PathKind.VMDYCK else vmsteady_paths_raw(n)
+    return dyck_words(n) if kind is PathKind.DYCK else steady_words(n)
+
+
+@lru_cache(maxsize=None)
+def _path_count(kind: PathKind, n) -> int:
+    """len(_path_raw(kind, n)): the Dyck words themselves, the steady walk's
+    allowed last up steps, or the marks of each word of the unmarked kind."""
+    if kind is PathKind.DYCK:
+        return len(dyck_words(n))
+    if kind is PathKind.STEADY:
+        return _steady_walk(n, lambda word, steps, floor: n - floor, 0) if n else 1
+    words = dyck_words(n) if kind is PathKind.VMDYCK else steady_words(n)
+    return _marked_walk(words, kind is PathKind.VMSTEADY, lambda w, ranges: prod(map(len, ranges)), 0)
+
+
+def _grow_trees(n, leaves_increasing: bool, last, acc):
+    """acc plus last(labels, arity, starts, runs) over the partial trees
+    that hold n..2 under the root, where runs are the places of vertex 1.
+
+    The trees are increasing ordered trees on 0..n, built from the root alone
+    by placing n, n-1, .., 1 under the root in turn, each over a run of
+    consecutive root children (which become its children) or as a leaf in a
+    gap between them; with leaves_increasing, a new leaf goes in the leftmost
+    gap only.  The search keeps an explicit stack of the root's children
+    (pre-order labels and arities, each child's start, then their end) and
+    the next vertex, which goes in before the first child of its run i..j; a
+    leaf is i..i."""
     stack = [((), (), (0,), n)]
     while stack:
         labels, arity, starts, v = stack.pop()
         k = len(starts) - 1
-        if v == 0:
-            out.append(OrderedTree._from_flat((0,) + labels, (k,) + arity))
-            continue
         runs = [(g, g) for g in range(1 if leaves_increasing else k + 1)]
         runs += [(i, j) for i in range(k) for j in range(i + 1, k + 1)]
+        if v == 1:
+            acc += last(labels, arity, starts, runs)
+            continue
         for i, j in reversed(runs):
             p = starts[i]
             shifted = starts[: i + 1] + tuple(s + 1 for s in starts[j:])
             stack.append((labels[:p] + (v,) + labels[p:], arity[:p] + (j - i,) + arity[p:], shifted, v - 1))
-    return tuple(out)
+    return acc
+
+
+def _trees(labels, arity, starts, runs):
+    """The trees vertex 1 completes, placed as in _grow_trees over each run
+    i..j of the root's k children, which leaves the root k - (j - i) + 1."""
+    k = len(starts) - 1
+    out = []
+    for i, j in runs:
+        p = starts[i]
+        out.append(
+            OrderedTree._from_flat((0,) + labels[:p] + (1,) + labels[p:], (k + 1 - j + i,) + arity[:p] + (j - i,) + arity[p:])
+        )
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -628,9 +725,9 @@ def increasing_ordered_trees(n) -> tuple[OrderedTree, ...]:
     them when it was a leaf.  Every tree on 0..n therefore arises exactly
     once from a tree on one vertex fewer and a place, and with k root
     children there are k(k+1)/2 runs and k+1 gaps.  Read with final labels,
-    this places n first and 1 last, always under the root.
+    this places n first and 1 last, always under the root (_grow_trees).
     """
-    return _grow_trees(n, leaves_increasing=False)
+    return tuple(_grow_trees(n, False, _trees, [])) if n else (OrderedTree._from_flat((0,), (0,)),)
 
 
 @lru_cache(maxsize=None)
@@ -649,7 +746,13 @@ def increasing_leaf_trees(n) -> tuple[OrderedTree, ...]:
     make non-members, and by the closure everything grown from a
     non-member is one, so the order is that of increasing_ordered_trees.
     """
-    return _grow_trees(n, leaves_increasing=True)
+    return tuple(_grow_trees(n, True, _trees, [])) if n else (OrderedTree._from_flat((0,), (0,)),)
+
+
+@lru_cache(maxsize=None)
+def _leaf_tree_count(n) -> int:
+    """len(increasing_leaf_trees(n)), by the same walk."""
+    return _grow_trees(n, True, lambda labels, arity, starts, runs: len(runs), 0) if n else 1
 
 
 def _as_pattern_key(spec):
@@ -662,29 +765,28 @@ def _as_is(obj):
     return obj
 
 
-def _class_raw(kind: str, spec, n: int, limit=None):
-    """(cached raw members, constructor of one object from a raw member) of
-    the size-n class; LimitError outside the kind's range in SIZE_LIMITS (limit,
-    when given, replaces its highest), ParseError for an unknown kind."""
+def _class(kind: str, spec, n: int, limit=None):
+    """(listing form, counting form, their arguments, constructor of one
+    object from a raw member) of the size-n class; LimitError outside the
+    kind's range in SIZE_LIMITS (limit, when given, replaces its highest),
+    ParseError for an unknown kind."""
     if kind == "invseq-triple":
         check_size("invseq", n, limit)
-        return invseq_class_raw(_as_pattern_key(spec), (), n), InversionSequence
+        return invseq_class_raw, _invseq_count, (_as_pattern_key(spec), (), n), InversionSequence
     if kind == "invseq-words":
         check_size("invseq", n, limit)
-        return invseq_class_raw((), _as_pattern_key(spec), n), InversionSequence
+        return invseq_class_raw, _invseq_count, ((), _as_pattern_key(spec), n), InversionSequence
     if kind == "perm-vincular":
         check_size("perm", n, limit)
-        return perm_class_raw(_as_pattern_key(spec), n), Permutation
+        return perm_class_raw, _perm_count, (_as_pattern_key(spec), n), Permutation
     if kind == "path-kind":
         check_size("path", n, limit)
         k = PathKind(spec)
-        if k.marked:
-            raw = vmdyck_paths_raw(n) if k is PathKind.VMDYCK else vmsteady_paths_raw(n)
-            return raw, lambda steps_marks: LatticePath(*steps_marks, k)
-        return (dyck_words(n) if k is PathKind.DYCK else steady_words(n)), partial(make_path, kind=k)
+        make = (lambda steps_marks: LatticePath(*steps_marks, k)) if k.marked else partial(make_path, kind=k)
+        return _path_raw, _path_count, (k, n), make
     if kind == "tree":
         check_size("tree", n, limit)
-        return increasing_leaf_trees(n), _as_is
+        return increasing_leaf_trees, _leaf_tree_count, (n,), _as_is
     raise ParseError(f"unknown class kind {kind!r}")
 
 
@@ -695,12 +797,31 @@ def enumerate_class(kind: str, spec, n: int, limit=None):
     tree; spec carries the patterns (or the PathKind).  Raises LimitError
     outside the kind's size range.
     """
-    raw, make = _class_raw(kind, spec, n, limit)
-    return sorted(map(make, raw), key=to_text)
+    listing, _, args, make = _class(kind, spec, n, limit)
+    return sorted(map(make, listing(*args)), key=to_text)
 
 
 def count_class(kind: str, spec, n: int, limit=None) -> int:
-    return len(_class_raw(kind, spec, n, limit)[0])
+    """len(enumerate_class(kind, spec, n, limit)), with the same errors, by
+    the enumerator's walk over the members of size n - 1 and a last step
+    that counts each member's children instead of building them:
+
+    - inversion sequences: the values 0..n-1 that are not banned, the
+      popcount of the allowed mask, since a value is banned exactly when
+      appending it completes an occurrence;
+    - permutations: the ranks 1..n that are not banned, for the same reason;
+    - steady words: n - floor, since every d_n from the floor to n - 1 ends a
+      member and no other does;
+    - marked Dyck and marked steady paths: the product of (h + 1) over the
+      free valleys of each word, since each free valley at height h takes
+      any mark 0..h independently and a blocked one only 0;
+    - increasing-leaves trees: 1 + k(k+1)/2 places for vertex 1 under a root
+      with k children, its k(k+1)/2 runs and the leftmost gap, each of which
+      gives one member;
+    - Dyck words: the length of their list.
+    """
+    _, counting, args, _ = _class(kind, spec, n, limit)
+    return counting(*args)
 
 
 def in_class(kind: str, spec, obj) -> bool:

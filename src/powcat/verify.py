@@ -20,7 +20,7 @@ from operator import methodcaller
 from . import bijections, growth, patterns, series
 from .errors import UnknownNameError, check_size
 from .gentree import label_distribution, level_counts, p1234_to_steady_relabel, rules_isomorphic_check
-from .objects import PathKind, last_descent_length, make_path, path_statistics, to_text
+from .objects import PathKind, _path_statistics, last_descent_length, make_path, to_text
 from .patterns import RelationTriple, VincularPattern, WordPattern, count_class, enumerate_class, invseq_members
 
 # each family's series.reference_sequence name and the sizes 1..n it is counted at
@@ -296,7 +296,7 @@ def check_star_maps():
         images = set()
         for p in steadies:
             img = bijections.phi_star(p)
-            sp, si = path_statistics(p), path_statistics(img)
+            sp, si = _path_statistics(p), _path_statistics(img)  # members, and phi* validates its images
             if si.total_mark != sp.w_count:
                 yield f"{p.steps}: mark {si.total_mark} != W count {sp.w_count}"
             if si.diagonal_steps != sp.diagonal_steps:

@@ -31,6 +31,24 @@ def test_count_family_syntaxes_agree():
         assert by_triple == by_words
 
 
+def test_a_repeated_count_walks_its_class_once(monkeypatch):
+    # the counting walk's total is kept, so a warm count request looks it up
+    from powcat import patterns
+
+    walks = []
+    walk = patterns._invseq_walk
+
+    def counted_walk(*args):
+        walks.append(args[:3])
+        return walk(*args)
+
+    monkeypatch.setattr(patterns, "_invseq_walk", counted_walk)
+    patterns._invseq_count.cache_clear()  # an earlier test may have counted this class
+    outs = [run(["count", "--family", "eq,gt,gt", "--n", "7"]) for _ in range(2)]
+    assert outs == [(0, "3207\n")] * 2
+    assert len(walks) == 1
+
+
 def test_count_a_four_letter_word_class():
     # words not of length 3 go through the occurrence search, one per prefix
     code, out = run(["count", "--family", "avoid:0110", "--n", "9"])

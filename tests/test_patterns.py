@@ -30,6 +30,7 @@ from powcat.patterns import (
     equinumerosity_check,
     increasing_leaf_trees,
     increasing_ordered_trees,
+    INVSEQ_FAMILIES,
     invseq_class_raw,
     invseq_members,
     perm_class_raw,
@@ -299,6 +300,58 @@ def test_enumeration_is_sorted_by_text():
     assert len(texts) == len(set(texts)) == 23
 
 
+# -- count_class ------------------------------------------------------------------------
+# count_class stops each walk at size n - 1 and counts the children there, so
+# it shares no last step with the listing.  Every kind, spec and size: the
+# first spec of a kind runs up to the kind's top size, the others stop one
+# below it where the top would cost seconds (an inversion-sequence or
+# permutation class of about a million members at n = 10).
+
+# kind -> (its size name in SIZE_LIMITS, whether every spec runs to the top,
+# its specs, a Catalan class first where not)
+COUNTED = {
+    "invseq-triple": ("invseq", False, list(INVSEQ_FAMILIES.values())),
+    "invseq-words": ("invseq", False, [tuple(map(WordPattern.parse, w)) for w in WORD_CHARACTERIZATIONS.values()]),
+    "perm-vincular": (
+        "perm", False, [tuple(map(VincularPattern.parse, ps)) for ps in (("1-23", "2-14-3"), ("1-23-4",), ("1-34-2",))]
+    ),
+    "path-kind": ("path", True, list(PathKind)),
+    "tree": ("tree", True, [None]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COUNTED))
+def test_count_class_is_the_length_of_the_listing_at_every_size(kind):
+    name, all_at_top, specs = COUNTED[kind]
+    lowest, top = SIZE_LIMITS[name]
+    for i, spec in enumerate(specs):
+        for n in range(lowest, (top if i == 0 or all_at_top else top - 1) + 1):
+            assert count_class(kind, spec, n) == len(enumerate_class(kind, spec, n)), (spec, n)
+
+
+# kind -> a spec whose class is cheap one past the kind's top size
+CHEAP_PAST_THE_TOP = {
+    "invseq-triple": INVSEQ_FAMILIES["cat"],
+    "invseq-words": tuple(map(WordPattern.parse, WORD_CHARACTERIZATIONS["cat"])),
+    "perm-vincular": (VincularPattern.parse("1-2-3"), VincularPattern.parse("1-3-2")),  # 2^(n-1) members
+    "path-kind": PathKind.DYCK,
+    "tree": None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COUNTED))
+def test_count_class_takes_limit_as_enumerate_class_does(kind):
+    name, spec = COUNTED[kind][0], CHEAP_PAST_THE_TOP[kind]
+    lowest, top = SIZE_LIMITS[name]
+    for n, limit in ((top + 1, None), (lowest - 1, None), (lowest - 1, top), (5, 4)):
+        with pytest.raises(LimitError):
+            count_class(kind, spec, n, limit)
+        with pytest.raises(LimitError):
+            enumerate_class(kind, spec, n, limit)
+    n = 5 if kind == "tree" else top + 1  # 143,239 leaf trees at 9 would cost seconds
+    assert count_class(kind, spec, n, limit=n) == len(enumerate_class(kind, spec, n, limit=n))
+
+
 def test_pattern_parse_errors():
     from powcat.errors import ParseError
 
@@ -438,8 +491,6 @@ def test_perm_statistics_match_their_definitions():
 
 @pytest.mark.parametrize("family", sorted(WORD_CHARACTERIZATIONS))
 def test_word_characterization_small(family):
-    from powcat.patterns import INVSEQ_FAMILIES
-
     words = tuple(WordPattern.parse(w) for w in WORD_CHARACTERIZATIONS[family])
     for n in range(1, 7):
         by_triple = set(invseq_class_raw((INVSEQ_FAMILIES[family],), (), n))
