@@ -25,7 +25,7 @@ from .objects import (
     to_text,
     validate,
 )
-from .patterns import VincularPattern, avoids_vincular, in_invseq_family
+from .patterns import VincularPattern, avoids_vincular, in_invseq_family, require_member
 
 PAT_1_23 = VincularPattern.parse("1-23")
 PAT_2_14_3 = VincularPattern.parse("2-14-3")
@@ -37,7 +37,7 @@ PAT_1_34_2 = VincularPattern.parse("1-34-2")
 
 def left_inversion_table(p: Permutation) -> tuple[int, ...]:
     """t_i = number of j > i with p_i > p_j."""
-    require_valid(p, "a permutation")
+    require_valid(p, "a permutation", Permutation)
     v = p.values
     return tuple(sum(1 for j in range(i + 1, len(v)) if v[i] > v[j]) for i in range(len(v)))
 
@@ -61,7 +61,7 @@ def left_inversion_table_inverse(t) -> Permutation:
 
 def catalan_invseq_to_perm(e: InversionSequence) -> Permutation:
     """Reverse e, read the result as a left inversion table, invert."""
-    require_valid(e, "an inversion sequence")
+    require_valid(e, "an inversion sequence", InversionSequence)
     if not in_invseq_family("cat", e.entries):
         raise MembershipError(f"{to_text(e)} is not a Catalan inversion sequence")
     p = left_inversion_table_inverse(tuple(reversed(e.entries)))
@@ -71,7 +71,7 @@ def catalan_invseq_to_perm(e: InversionSequence) -> Permutation:
 
 
 def catalan_perm_to_invseq(p: Permutation) -> InversionSequence:
-    require_valid(p, "a permutation")
+    require_valid(p, "a permutation", Permutation)
     if not (avoids_vincular(p, PAT_1_23) and avoids_vincular(p, PAT_2_14_3)):
         raise MembershipError(f"{to_text(p)} does not avoid 1-23 and 2-14-3")
     e = InversionSequence(tuple(reversed(left_inversion_table(p))))
@@ -85,7 +85,7 @@ def catalan_perm_to_invseq(p: Permutation) -> InversionSequence:
 
 def steady_to_perm(path: LatticePath) -> Permutation:
     """Read the steady code reversed as a left inversion table, invert."""
-    require_valid(_as_kind(path, PathKind.STEADY), "a steady path")
+    require_member(path, ("path-kind", PathKind.STEADY), "a steady path")
     p = left_inversion_table_inverse(reversed(steady_code(path.steps)))
     if not avoids_vincular(p, PAT_1_34_2):
         raise AssertionError(f"image {to_text(p)} escaped AV(1-34-2)")
@@ -93,7 +93,7 @@ def steady_to_perm(path: LatticePath) -> Permutation:
 
 
 def perm_to_steady(p: Permutation) -> LatticePath:
-    require_valid(p, "a permutation")
+    require_valid(p, "a permutation", Permutation)
     if not avoids_vincular(p, PAT_1_34_2):
         raise MembershipError(f"{to_text(p)} does not avoid 1-34-2")
     path = make_path(steady_word(reversed(left_inversion_table(p))), kind=PathKind.STEADY)
@@ -151,7 +151,7 @@ def phi(path: LatticePath) -> LatticePath:
     factor (and, when the in-between block is empty, the W's matching D) is
     dissolved and the valley reappears one level up with mark h + 1.
     """
-    require_valid(_as_kind(path, PathKind.VMSTEADY), "a valley-marked steady path")
+    require_member(path, ("path-kind", PathKind.VMSTEADY), "a valley-marked steady path")
     if "W" not in path.steps:
         raise MembershipError("phi needs at least one W step")
     return _phi(path)
@@ -192,7 +192,7 @@ def theta(path: LatticePath) -> LatticePath:
     Inverse of phi: the chosen valley at height k with mark h is re-rooted
     inside a fresh D-U-W factor at height k - 1 with mark h - 1.
     """
-    require_valid(_as_kind(path, PathKind.VMSTEADY), "a valley-marked steady path")
+    require_member(path, ("path-kind", PathKind.VMSTEADY), "a valley-marked steady path")
     if sum(path.marks) == 0:
         raise MembershipError("theta needs a nontrivial mark")
     return _theta(path)
@@ -229,15 +229,11 @@ def _theta(path: LatticePath) -> LatticePath:
 # -- the full exchanges ----------------------------------------------------------------
 
 
-def _as_kind(path: LatticePath, kind: PathKind) -> LatticePath:
-    return path if path.kind is kind else LatticePath(path.steps, path.marks, kind)
-
-
 def phi_star(path: LatticePath) -> LatticePath:
     """Iterate phi until no W remains: steady path -> valley-marked Dyck path.
     The input is checked once; each step validates its own image."""
-    require_valid(_as_kind(path, PathKind.STEADY), "a steady path")
-    cur = _as_kind(path, PathKind.VMSTEADY)
+    require_member(path, ("path-kind", PathKind.STEADY), "a steady path")
+    cur = LatticePath(path.steps, path.marks, PathKind.VMSTEADY)
     while "W" in cur.steps:
         cur = _phi(cur)
     return LatticePath(cur.steps, cur.marks, PathKind.VMDYCK)
@@ -246,8 +242,8 @@ def phi_star(path: LatticePath) -> LatticePath:
 def theta_star(path: LatticePath) -> LatticePath:
     """Iterate theta until the total mark is zero: valley-marked Dyck -> steady.
     The input is checked once; each step validates its own image."""
-    require_valid(_as_kind(path, PathKind.VMDYCK), "a valley-marked Dyck path")
-    cur = _as_kind(path, PathKind.VMSTEADY)
+    require_member(path, ("path-kind", PathKind.VMDYCK), "a valley-marked Dyck path")
+    cur = LatticePath(path.steps, path.marks, PathKind.VMSTEADY)
     while sum(cur.marks) > 0:
         cur = _theta(cur)
     return make_path(cur.steps, kind=PathKind.STEADY)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .errors import SIZE_LIMITS, MembershipError, UnknownNameError, check_size
+from .errors import SIZE_LIMITS, UnknownNameError, check_size
 from .gentree import Label, expand_label
 from .objects import (
     InversionSequence,
@@ -39,6 +39,7 @@ from .patterns import (
     in_invseq_family,
     INVSEQ_FAMILIES,
     ltr_max_flags,
+    require_member,
 )
 
 P1234 = VincularPattern.parse("1-23-4")
@@ -52,13 +53,6 @@ def _invseq_class(family: str):
 P1234_CLASS = ("perm-vincular", P1234)
 STEADY_CLASS = ("path-kind", PathKind.STEADY)
 VMDYCK_CLASS = ("path-kind", PathKind.VMDYCK)
-
-
-def _require_member(obj, cls, what: str):
-    """Raise MembershipError unless obj is a valid member of the class cls."""
-    require_valid(obj, what)
-    if not in_class(*cls, obj):
-        raise MembershipError(f"{to_text(obj)} is not {what}")
 
 
 # -- Catalan inversion sequences, entry insertion --------------------------------
@@ -75,7 +69,7 @@ def cat_insert(e: InversionSequence, i: int) -> InversionSequence:
 
 def active_positions_cat(e: InversionSequence) -> list[int]:
     """Positions i where cat_insert keeps membership in the geq,dash,geq family."""
-    _require_member(e, _invseq_class("cat"), "a Catalan inversion sequence")
+    require_member(e, _invseq_class("cat"), "a Catalan inversion sequence")
     return [
         i
         for i in range(1, len(e) + 2)
@@ -158,7 +152,7 @@ def children_rightmost_entry(family: str, e: InversionSequence):
     (h, k) the label of e, the new entries are max(e) - h + 1 .. max(e) + k,
     and the one d above max(e) gets the label (h + d, k - d + 1)."""
     membership = "cat" if family == "cat2" else family
-    _require_member(e, _invseq_class(membership), f"an inversion sequence of family {membership}")
+    require_member(e, _invseq_class(membership), f"an inversion sequence of family {membership}")
     label, first = _RIGHTMOST[family]
     h, k = label(e)
     mx = max(e.entries)
@@ -182,7 +176,7 @@ def pcat_children_invseq(e: InversionSequence):
     the rest becoming the (unique possible) 1s.
     """
     v = e.entries
-    _require_member(e, _invseq_class("pcat"), "an inversion sequence avoiding 110")
+    require_member(e, _invseq_class("pcat"), "an inversion sequence avoiding 110")
     zero_pos = [i for i, x in enumerate(v) if x == 0]
     k = len(zero_pos)
     shifted = tuple(x + 1 if x > 0 else 0 for x in v)
@@ -209,7 +203,7 @@ def pcat_parent_invseq(f: InversionSequence) -> InversionSequence:
     v = f.entries
     if len(v) < 2:
         raise ValueError("size-1 sequence has no parent")
-    _require_member(f, _invseq_class("pcat"), "an inversion sequence avoiding 110")
+    require_member(f, _invseq_class("pcat"), "an inversion sequence avoiding 110")
     undone = tuple(0 if x == 1 else x for x in v)
     cut = undone.index(0)
     rest = undone[:cut] + undone[cut + 1 :]
@@ -230,7 +224,7 @@ def steady_children(path: LatticePath):
     """Children by a new rightmost up step at each admissible height i, which
     runs up to n - t/2 = h + k - 1 for the label (h, k): the step starts at
     (2n - i, i), so the child's code is the parent's with d = n - i appended."""
-    _require_member(path, STEADY_CLASS, "a steady path")
+    require_member(path, STEADY_CLASS, "a steady path")
     n = path.size
     code = steady_code(path.steps)
     h, k = steady_label(path)
@@ -270,7 +264,7 @@ def perm_append(p: Permutation, a: int) -> Permutation:
 def perm1234_children(p: Permutation):
     """Children by right expansion at each active site, with their labels."""
     v = p.values
-    _require_member(p, P1234_CLASS, "a permutation avoiding 1-23-4")
+    require_member(p, P1234_CLASS, "a permutation avoiding 1-23-4")
     bound = _p1234_site_bound(v)
     h, k = p1234_label(p)
     out = []
@@ -295,7 +289,7 @@ def vmdyck_label(path: LatticePath) -> Label:
 def vmdyck_children(path: LatticePath):
     """Children by a new rightmost peak in the last descent; a freshly made
     valley takes every admissible mark."""
-    _require_member(path, VMDYCK_CLASS, "a valley-marked Dyck path")
+    require_member(path, VMDYCK_CLASS, "a valley-marked Dyck path")
     steps, marks = path.steps, path.marks
     r = last_descent_length(steps)
     head = steps[: len(steps) - r]

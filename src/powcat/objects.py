@@ -286,9 +286,9 @@ def returns_to_axis(steps: str) -> int:
 
 def path_statistics(path: LatticePath) -> PathStatistics:
     """All seven path statistics; see PathStatistics for the field set.
-    MembershipError, before anything is computed, unless the path is valid
-    for its kind."""
-    require_valid(path, f"a {path.kind.value} path")
+    TypeError for a non-path and MembershipError, before anything is
+    computed, unless the path is valid for its kind."""
+    require_valid(path, "a valid path", LatticePath)
     return _path_statistics(path)
 
 
@@ -595,9 +595,12 @@ def is_valid(obj) -> bool:
     raise TypeError(f"cannot validate {type(obj).__name__}")
 
 
-def require_valid(obj, what: str) -> None:
-    """Raise MembershipError naming the first violation unless obj is valid;
-    the report is built only to word the error."""
+def require_valid(obj, what: str, cls=object) -> None:
+    """Raise TypeError unless obj is a cls, and MembershipError naming the
+    first violation unless obj is valid; the report is built only to word
+    the error."""
+    if not isinstance(obj, cls):
+        raise TypeError(f"expected {what}, got a {type(obj).__name__}")
     if not is_valid(obj):
         raise MembershipError(f"{to_text(obj)} is not {what}: {validate(obj).violations[0].detail}")
 

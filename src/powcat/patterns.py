@@ -16,25 +16,28 @@ Each enumerator judges a candidate without building, rescanning or
 validating it, and each test is exact:
 
 - inversion sequences: bitmasks of the values placed and of the values
-  that would complete a triple or 3-letter word occurrence; a candidate
-  is rejected exactly when it ends an occurrence;
+  that would complete an occurrence of a relation triple or a 3-letter
+  word; both are sets of order types of value triples (_order_types), so
+  one ban table serves both, and a candidate is rejected exactly when it
+  ends an occurrence;
 - inversion sequences avoiding words of other lengths, and permutations:
   one search per parent along the plan (_completing), over the
   occurrences of each pattern less its last entry, gives the mask of the
   appended values that would complete an occurrence; only the other
   children are built;
-- steady words: the least diagonal distance the S1/S2 conditions of the
-  up steps so far allow for the next one;
+- steady and Dyck words: the least diagonal distance the S1/S2
+  conditions of the up steps so far allow for the next one, which for a
+  Dyck word, whose code never falls, is that of the last one;
 - increasing-leaves trees: vertices n, .., 1 go under the root in turn,
   and the class is closed under deleting vertex 1, so every partial tree
   is a member.
 
 The last two keep exactly the prefixes that can be completed, so their
 searches have no dead ends.  The docstrings give each condition and why it
-holds.  Streams are reproducible: objects come out sorted by their
-canonical text.  Each search stops at size n - 1, where a listing last
-step builds the children and a counting one adds up how many there are
-(count_class).
+holds.  Streams are reproducible: each raw listing comes in its walk's
+fixed order, and enumerate_class sorts by canonical text.  Each search
+stops at size n - 1, where a listing last step builds the children and a
+counting one adds up how many there are (count_class).
 
 The single-object oracles share the enumerators' state: avoids_triple
 carries the same two bitmasks over the same ban table in one left-to-right
@@ -48,7 +51,7 @@ from functools import cache, lru_cache, partial
 from itertools import product, repeat
 from math import inf, prod
 
-from .errors import ParseError, check_size
+from .errors import MembershipError, ParseError, check_size
 from .objects import (
     InversionSequence,
     LatticePath,
@@ -58,17 +61,13 @@ from .objects import (
     make_path,
     nonzero_mark_blockers,
     path_valleys,
+    require_valid,
     to_text,
 )
 
+# The signs of a - b for which each relation a r b holds.
 RELATIONS = {
-    "lt": lambda a, b: a < b,
-    "gt": lambda a, b: a > b,
-    "leq": lambda a, b: a <= b,
-    "geq": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "neq": lambda a, b: a != b,
-    "dash": lambda a, b: True,
+    "lt": (-1,), "gt": (1,), "leq": (-1, 0), "geq": (0, 1), "eq": (0,), "neq": (-1, 1), "dash": (-1, 0, 1),
 }
 
 @dataclass(frozen=True)
@@ -169,6 +168,7 @@ def avoids_triple(e, triple: RelationTriple) -> bool:
     moved onto values 0..n-1 of the same order and equality."""
     v = e.entries if isinstance(e, InversionSequence) else tuple(e)
     n = len(v)
+    bans = _triple_bans(triple, n)
     if n < 3:
         return True
     lo = min(v)
@@ -177,7 +177,6 @@ def avoids_triple(e, triple: RelationTriple) -> bool:
         v = [rank[x] for x in v]
     elif lo:
         v = [x - lo for x in v]
-    bans = _triple_bans(triple, n)
     placed = []  # the distinct values of seen
     seen = banned = 0
     for x in v:
@@ -193,8 +192,11 @@ def avoids_triple(e, triple: RelationTriple) -> bool:
 
 @lru_cache(maxsize=None)
 def _triple_bans(triple: RelationTriple, n: int):
-    """The _ban_table of one triple for the values < n."""
-    return _ban_table((triple,), (), n)
+    """The _ban_table of one triple for the values < n; TypeError unless it
+    is a RelationTriple (a cache hit needs no check)."""
+    if not isinstance(triple, RelationTriple):
+        raise TypeError(f"expected a RelationTriple, got a {type(triple).__name__}")
+    return _ban_table(_order_types((triple,), ()), n)
 
 
 @lru_cache(maxsize=None)
@@ -253,19 +255,21 @@ def _contains(values, plan, bounds, idx, start) -> bool:
     return False
 
 
-def _occurs(values, pattern) -> bool:
+def _occurs(values, pattern, cls) -> bool:
+    if not isinstance(pattern, cls):
+        raise TypeError(f"expected a {cls.__name__}, got a {type(pattern).__name__}")
     plan = _search_plan(pattern)
     return _contains(values, plan, [-inf, inf] * (len(plan) + 1), 0, 0)
 
 
 def avoids_word(e, w: WordPattern) -> bool:
     """True when no subsequence of e realizes the order-and-equality type of w."""
-    return not _occurs(e.entries if isinstance(e, InversionSequence) else tuple(e), w)
+    return not _occurs(e.entries if isinstance(e, InversionSequence) else tuple(e), w, WordPattern)
 
 
 def avoids_vincular(p, pattern: VincularPattern) -> bool:
     """True when p has no occurrence of the (possibly vincular) pattern."""
-    return not _occurs(p.values if isinstance(p, Permutation) else tuple(p), pattern)
+    return not _occurs(p.values if isinstance(p, Permutation) else tuple(p), pattern, VincularPattern)
 
 
 def _strict_minima(seq) -> int:
@@ -279,8 +283,9 @@ def _strict_minima(seq) -> int:
 
 
 def perm_statistics(p) -> dict[str, int]:
-    """Counts of LTR/RTL minima and maxima, all strict."""
-    v = p.values if isinstance(p, Permutation) else tuple(p)
+    """Counts of strict LTR/RTL minima and maxima of a valid Permutation."""
+    require_valid(p, "a permutation", Permutation)
+    v = p.values
     negated = tuple(-x for x in v)  # maxima of v are the minima of -v
     return {
         "ltr_minima": _strict_minima(v),
@@ -410,27 +415,25 @@ def _completing(cur, plan, bounds, idx, start) -> int:
     return mask
 
 
-def _sign(a, b):
-    return (a > b) - (a < b)
+def _order_type(a, b, c):
+    """The signs of a - b, b - c and a - c."""
+    return (a > b) - (a < b), (b > c) - (b < c), (a > c) - (a < c)
 
 
-def _ban_table(triples, words3, n):
-    """bans[a][b]: bitmask of the values c < n for which (a, b, c) is an
-    occurrence of one of the relation triples or of the 3-letter words."""
-    tests = [(RELATIONS[t.first], RELATIONS[t.second], RELATIONS[t.third]) for t in triples]
-    codes = {(_sign(w0, w1), _sign(w1, w2), _sign(w0, w2)) for w0, w1, w2 in words3}
-    return [
-        [
-            sum(
-                1 << c
-                for c in range(n)
-                if (_sign(a, b), _sign(b, c), _sign(a, c)) in codes
-                or any(r1(a, b) and r2(b, c) and r3(a, c) for r1, r2, r3 in tests)
-            )
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
+def _order_types(triples, words3):
+    """The order types of the value triples that occur as one of the relation
+    triples (the product of its relations' signs) or of the 3-letter words."""
+    types = {_order_type(*w) for w in words3}
+    for t in triples:
+        types.update(product(RELATIONS[t.first], RELATIONS[t.second], RELATIONS[t.third]))
+    return frozenset(types)
+
+
+@lru_cache(maxsize=None)
+def _ban_table(types, n):
+    """bans[a][b]: bitmask of the values c < n for which (a, b, c) has one of
+    the order types."""
+    return [[sum(1 << c for c in range(n) if _order_type(a, b, c) in types) for b in range(n)] for a in range(n)]
 
 
 # -- enumerators ----------------------------------------------------------------
@@ -457,7 +460,7 @@ def _invseq_walk(triples, words, n, last, acc):
     occurrences of the word less its last letter (_completing, as in
     _perm_walk) adds the values that would complete one to banned.
     """
-    bans = _ban_table(triples, [w.word for w in words if len(w.word) == 3], n)
+    bans = _ban_table(_order_types(triples, [w.word for w in words if len(w.word) == 3]), n)
     searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, words) if len(plan) != 3]
     # banned_after[v][seen]: the values banned by placing v after the set seen
     banned_after = [{} for _ in range(n)]
@@ -511,8 +514,8 @@ def _perm_children(cur, bad):
 
 
 def _perm_walk(patterns, n, last, acc):
-    """acc plus last(cur, bad) over the members cur of size n - 1 (none when
-    n = 0), grown level by level through _perm_children, where bad is the
+    """acc plus last(cur, bad) over the members cur of size n - 1 (n >= 1),
+    grown level by level through _perm_children, where bad is the
     mask of the ranks whose appending would complete an occurrence.
 
     Deleting the last entry of a permutation and standardizing never makes
@@ -533,7 +536,7 @@ def _perm_walk(patterns, n, last, acc):
     the same mask (k = 1 gives the empty occurrence and every rank).
     """
     searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, patterns)]
-    level, grown = [()], acc  # acc itself when n = 0
+    level = [()]
     for m in range(n):
         step, grown = (last, acc) if m + 1 == n else (_perm_children, [])
         for cur in level:
@@ -542,49 +545,28 @@ def _perm_walk(patterns, n, last, acc):
                 bad |= _completing(cur, plan, bounds, 0, 0)
             grown += step(cur, bad)
         level = grown
-    return grown
+    return level
 
 
 @lru_cache(maxsize=None)
 def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
     """All permutations of 1..n avoiding every listed vincular pattern, grown
-    by appending a rank (_perm_walk, _perm_children); none when n = 0."""
-    return tuple(_perm_walk(patterns, n, _perm_children, []))
+    by appending a rank (_perm_walk, _perm_children)."""
+    return tuple(_perm_walk(patterns, n, _perm_children, [])) if n else ((),)
 
 
 @lru_cache(maxsize=None)
 def _perm_count(patterns, n) -> int:
     """len(perm_class_raw(patterns, n)), by the same walk."""
-    return _perm_walk(patterns, n, lambda cur, bad: (((1 << len(cur) + 2) - 2) & ~bad).bit_count(), 0)
+    return _perm_walk(patterns, n, lambda cur, bad: (((1 << len(cur) + 2) - 2) & ~bad).bit_count(), 0) if n else 1
 
 
-@lru_cache(maxsize=None)
-def dyck_words(n) -> tuple[str, ...]:
-    out = []
-
-    def rec(word, ups, downs):
-        if ups == n and downs == n:
-            out.append("".join(word))
-            return
-        if ups < n:
-            word.append("U")
-            rec(word, ups + 1, downs)
-            word.pop()
-        if downs < ups:
-            word.append("D")
-            rec(word, ups, downs + 1)
-            word.pop()
-
-    rec([], 0, 0)
-    return tuple(out)
-
-
-def _steady_walk(n, last, acc):
-    """acc plus last(word, steps, floor) over the prefixes word of the steady
-    words of size n that end at their (n-1)-th up step, in lexicographic
-    order of their codes (objects.steady_code), where floor is the least
-    d_n the prefix allows and steps[d] the steps that follow it up to and
-    including an n-th up step with d_n = d.
+def _steady_walk(n, allows_w, last, acc):
+    """acc plus last(word, ends, floor) over the prefixes word, up to their
+    (n-1)-th up step, of the steady words of size n (the Dyck words when not
+    allows_w), in lexicographic order of their codes (objects.steady_code);
+    floor is the least d_n the prefix allows and ends[d] the n-th up step
+    with d_n = d and the closing descent.
 
     Any inversion sequence d_1..d_n is the code of a cone-confined word,
     objects.steady_word(d); only S1/S2 remain.  The k-th up step starts on
@@ -596,35 +578,43 @@ def _steady_walk(n, last, acc):
     therefore say that every later d_j is at least that d_k.  The search
     keeps the largest such d_k as a floor for the next choice, which never
     empties the range 0..k-1, so every prefix it keeps can be completed;
-    the word is built as the d_k are chosen.
+    the word is built as the d_k are chosen.  A Dyck word is a steady word
+    without W, whose code never falls, so there the floor is always
+    d_{k-1}, which also meets S1/S2.
     """
     # steps[p][d]: from an up step with d_k = p through the next, with d_{k+1} = d
     steps = [["D" * (d - p) + "W" * (p - d) + "U" for d in range(n)] for p in range(n)]
+    ends = [[row[d] + "D" * (n - d) for d in range(n)] for row in steps]
 
     def extend(word, k, d_prev, floor):
         nonlocal acc
         if k + 1 == n:
-            acc += last(word, steps[d_prev], floor)
+            acc += last(word, ends[d_prev], floor)
             return
         row = steps[d_prev]
         for d in range(floor, k + 1):
-            extend(word + row[d], k + 1, d, d if d <= d_prev else floor)
+            extend(word + row[d], k + 1, d, floor if allows_w and d > d_prev else d)
 
     extend("", 0, 0, 0)
     return acc
 
 
+def _completed(word, ends, floor):
+    """The words of size n that complete a prefix of _steady_walk."""
+    return [word + end for end in ends[floor:]]
+
+
+@lru_cache(maxsize=None)
+def dyck_words(n) -> tuple[str, ...]:
+    """All Dyck words of size n, in lexicographic order, which is that of
+    their codes (U before D)."""
+    return tuple(_steady_walk(n, False, _completed, [])) if n else ("",)
+
+
 @lru_cache(maxsize=None)
 def steady_words(n) -> tuple[str, ...]:
-    """All steady words of size n, in lexicographic order of their codes: each
-    prefix of _steady_walk extended by each allowed n-th up step and the
-    closing descent."""
-    if not n:
-        return ("",)
-    def leaves(word, steps, floor):
-        return [word + steps[d] + "D" * (n - d) for d in range(floor, n)]
-
-    return tuple(_steady_walk(n, leaves, []))
+    """All steady words of size n, in lexicographic order of their codes."""
+    return tuple(_steady_walk(n, True, _completed, [])) if n else ("",)
 
 
 def _marked_walk(words, steady, last, acc):
@@ -663,14 +653,17 @@ def _path_raw(kind: PathKind, n):
 
 @lru_cache(maxsize=None)
 def _path_count(kind: PathKind, n) -> int:
-    """len(_path_raw(kind, n)): the Dyck words themselves, the steady walk's
-    allowed last up steps, or the marks of each word of the unmarked kind."""
-    if kind is PathKind.DYCK:
-        return len(dyck_words(n))
-    if kind is PathKind.STEADY:
-        return _steady_walk(n, lambda word, steps, floor: n - floor, 0) if n else 1
-    words = dyck_words(n) if kind is PathKind.VMDYCK else steady_words(n)
-    return _marked_walk(words, kind is PathKind.VMSTEADY, lambda w, ranges: prod(map(len, ranges)), 0)
+    """len(_path_raw(kind, n)), by the steady walk: the n - floor allowed last
+    up steps, or for a marked kind the marks of each word they complete."""
+    if not n:
+        return 1
+    if not kind.marked:
+        return _steady_walk(n, kind.allows_w, lambda word, ends, floor: n - floor, 0)
+
+    def marks(word, ends, floor):
+        return _marked_walk(_completed(word, ends, floor), kind.allows_w, lambda w, ranges: prod(map(len, ranges)), 0)
+
+    return _steady_walk(n, kind.allows_w, marks, 0)
 
 
 def _grow_trees(n, leaves_increasing: bool, last, acc):
@@ -810,15 +803,15 @@ def count_class(kind: str, spec, n: int, limit=None) -> int:
       popcount of the allowed mask, since a value is banned exactly when
       appending it completes an occurrence;
     - permutations: the ranks 1..n that are not banned, for the same reason;
-    - steady words: n - floor, since every d_n from the floor to n - 1 ends a
-      member and no other does;
+    - steady and Dyck words: n - floor, since every d_n from the floor to
+      n - 1 ends a member and no other does;
     - marked Dyck and marked steady paths: the product of (h + 1) over the
-      free valleys of each word, since each free valley at height h takes
-      any mark 0..h independently and a blocked one only 0;
+      free valleys of each word that such a d_n completes, since each free
+      valley at height h takes any mark 0..h independently and a blocked
+      one only 0;
     - increasing-leaves trees: 1 + k(k+1)/2 places for vertex 1 under a root
       with k children, its k(k+1)/2 runs and the leftmost gap, each of which
-      gives one member;
-    - Dyck words: the length of their list.
+      gives one member.
     """
     _, counting, args, _ = _class(kind, spec, n, limit)
     return counting(*args)
@@ -838,6 +831,14 @@ def in_class(kind: str, spec, obj) -> bool:
     if kind == "tree":
         return isinstance(obj, OrderedTree)
     raise ParseError(f"unknown class kind {kind!r}")
+
+
+def require_member(obj, cls, what: str) -> None:
+    """Raise MembershipError unless obj is a valid member of the class cls,
+    a (kind, spec) key: the one input rule of the growers and path maps."""
+    require_valid(obj, what)
+    if not in_class(*cls, obj):
+        raise MembershipError(f"{to_text(obj)} is not {what}")
 
 
 def equinumerosity_check(class_a, class_b, n_max: int, limit=None):

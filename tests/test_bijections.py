@@ -255,7 +255,8 @@ def test_phi_star_worked_example():
 
 
 def test_star_maps_reject_non_members():
-    # the domain is read off the steps and marks, not the kind a path is built with
+    # each map takes its own kind only: a path of that kind that is no member,
+    # or a path of another kind whatever its steps and marks
     for path in (
         make_path("UUDDDU", kind=PathKind.STEADY),  # leaves the cone
         make_path("", kind=PathKind.STEADY),

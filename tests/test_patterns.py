@@ -1,4 +1,5 @@
 """Avoidance oracles, enumerators, and the structural characterizations."""
+import hashlib
 import operator
 from itertools import combinations, product
 from itertools import permutations as iperm
@@ -20,12 +21,17 @@ from powcat.patterns import (
     RelationTriple,
     VincularPattern,
     WordPattern,
+    _invseq_count,
+    _leaf_tree_count,
+    _path_count,
+    _perm_count,
     ascent_min_max_criterion,
     avoids_triple,
     avoids_vincular,
     avoids_word,
     baxter_inversion_criterion,
     count_class,
+    dyck_words,
     enumerate_class,
     equinumerosity_check,
     increasing_leaf_trees,
@@ -38,6 +44,8 @@ from powcat.patterns import (
     semibaxter_inversion_criterion,
     steady_words,
     two_chain_criterion,
+    vmdyck_paths_raw,
+    vmsteady_paths_raw,
     weak_descent_criterion,
     WORD_CHARACTERIZATIONS,
 )
@@ -436,6 +444,70 @@ def test_steady_words_match_the_validated_encodings():
             if validate(make_path(word, kind=PathKind.STEADY)).ok:
                 want.append(word)
         assert list(steady_words(n)) == want, n
+
+
+def test_dyck_words_are_the_steady_words_of_the_weakly_increasing_codes():
+    # a Dyck word is a steady word without W, so its code never falls
+    for n in range(1, 9):
+        codes = (d for d in product(*(range(m) for m in range(1, n + 1))) if list(d) == sorted(d))
+        assert list(dyck_words(n)) == [steady_word(d) for d in codes], n
+
+
+# SHA-256 of each raw listing at sizes 1..8 (trees 1..7) in the order its
+# enumerator emits it; a family's triple and word routes give one listing
+RAW_DIGESTS = {
+    "cat": "63312baba77709fa84f9674e99c3c00c607c21836db8735db00fc032241b5ffe",
+    "i-geq3": "812694f5782a1ad9f8f0d5b63a293e068df69569577ba6b17d74c764fa323eb6",
+    "bax": "152ca241a2089585079b35000a0deb0d5e4dd32df00e06b17c6c492e8be76ee6",
+    "semi": "d4f264c713d851b1fe5720553509f4507a6f163cb187dcf52c4fa4d2483f6ef9",
+    "pcat": "3f0fa43f378fe760e6d461354e08f0a5016f8387982f3a5c46bdda376d0fdc73",
+    "1-23+2-14-3": "67ad1a5d22d7ea8353257daf1fac9e516fa083641cc15bcd335abb7464e5b1a2",
+    "1-23-4": "cc7539a668ad783d0625e4531347ee39d075a6048873827e2aaf0200e7f7b655",
+    "1-34-2": "8c50491a51a72cbae54a44c956f110566576e88afbb5c84352548a6a89fbbed2",
+    "dyck": "25dfc488ca8074aa346535f4ccdf8fbf12474f3f57aa534d635c0a486343cf5e",
+    "vmdyck": "4e04758cd60fa6230256e71535074aa8af8eaa58b32f8cb0877cf93bde838dac",
+    "steady": "1ac84433a8eb72c0d87a2738702946595d3c2dafda8356f6a4c7ef46ae80904d",
+    "vmsteady": "8d12b1dba3b3870efe25d6a45a0bedd6e4192c16f0c70489f96596e4e522528e",
+    "ordered trees": "c06b114fbb546ffa8b39b9dea574759cfe6e9d339f9d122119bee25710afe1c6",
+    "leaf trees": "612d3bda9e748be7aa3d6f0274c2f2611074552642fa5d887892690d94c1d6af",
+}
+
+
+def raw_listings():
+    """(digest key, listing of size n, top size) for every raw listing."""
+    for fam, t in INVSEQ_FAMILIES.items():
+        words = tuple(map(WordPattern.parse, WORD_CHARACTERIZATIONS[fam]))
+        yield fam, lambda n, t=t: invseq_class_raw((t,), (), n), 8
+        yield fam, lambda n, w=words: invseq_class_raw((), w, n), 8
+    for spec in ("1-23+2-14-3", "1-23-4", "1-34-2"):
+        pats = tuple(map(VincularPattern.parse, spec.split("+")))
+        yield spec, lambda n, p=pats: perm_class_raw(p, n), 8
+    yield "dyck", dyck_words, 8
+    yield "vmdyck", vmdyck_paths_raw, 8
+    yield "steady", steady_words, 8
+    yield "vmsteady", vmsteady_paths_raw, 8
+    yield "ordered trees", lambda n: [(t.labels, t.arity) for t in increasing_ordered_trees(n)], 7
+    yield "leaf trees", lambda n: [(t.labels, t.arity) for t in increasing_leaf_trees(n)], 7
+
+
+def test_raw_listings_keep_their_content_and_order():
+    for key, listing, top in raw_listings():
+        h = hashlib.sha256()
+        for n in range(1, top + 1):
+            h.update(repr(tuple(listing(n))).encode())
+        assert h.hexdigest() == RAW_DIGESTS[key], key
+
+
+def test_every_raw_listing_holds_one_empty_object_at_size_0():
+    assert list(invseq_class_raw((GEQ_DASH_GEQ,), (), 0)) == list(invseq_class_raw((), (WordPattern.parse("110"),), 0)) == [()]
+    assert list(perm_class_raw((VincularPattern.parse("1-23-4"),), 0)) == [()]
+    assert list(dyck_words(0)) == list(steady_words(0)) == [""]
+    assert list(vmdyck_paths_raw(0)) == list(vmsteady_paths_raw(0)) == [("", ())]
+    assert [t.labels for t in increasing_ordered_trees(0)] == [t.labels for t in increasing_leaf_trees(0)] == [(0,)]
+    assert _invseq_count((GEQ_DASH_GEQ,), (), 0) == _invseq_count((), (WordPattern.parse("110"),), 0) == 1
+    assert _perm_count((VincularPattern.parse("1-23-4"),), 0) == 1
+    assert [_path_count(k, 0) for k in PathKind] == [1, 1, 1, 1]
+    assert _leaf_tree_count(0) == 1
 
 
 def test_leaf_trees_match_the_validated_increasing_trees():
