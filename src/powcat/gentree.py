@@ -60,6 +60,16 @@ class SuccessionRule:
     axiom: Label
     runs: Callable[..., tuple[Run, ...]]  # the components of a label -> its production
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"a rule name must be a str, not {self.name!r}")
+        if not isinstance(self.axiom, tuple) or not all(isinstance(c, int) for c in self.axiom):
+            raise TypeError(f"rule {self.name}'s axiom must be a tuple of ints, not {self.axiom!r}")
+        if not self.axiom or min(self.axiom) < 0:
+            raise ValueError(f"rule {self.name}'s axiom must have at least one component, none negative: {self.axiom!r}")
+        if not callable(self.runs):
+            raise TypeError(f"rule {self.name}'s runs must be callable, not {self.runs!r}")
+
     def __str__(self):
         return self.name
 

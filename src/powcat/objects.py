@@ -22,7 +22,7 @@ from enum import Enum
 from itertools import accumulate, chain, count
 from operator import sub
 
-from .errors import MembershipError, ParseError
+from .errors import MembershipError, ParseError, UnknownNameError
 
 STEP_VECTORS = {"U": (1, 1), "D": (1, -1), "W": (-1, 1)}
 
@@ -32,6 +32,10 @@ class PathKind(str, Enum):
     VMDYCK = "vmdyck"
     STEADY = "steady"
     VMSTEADY = "vmsteady"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise UnknownNameError("path kind", value, [k.value for k in cls])
 
     @property
     def marked(self) -> bool:

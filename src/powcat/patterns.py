@@ -35,9 +35,14 @@ validating it, and each test is exact:
 The last two keep exactly the prefixes that can be completed, so their
 searches have no dead ends.  The docstrings give each condition and why it
 holds.  Streams are reproducible: each raw listing comes in its walk's
-fixed order, and enumerate_class sorts by canonical text.  Each search
-stops at size n - 1, where a listing last step builds the children and a
-counting one adds up how many there are (count_class).
+fixed order, and enumerate_class sorts by canonical text.  Each listing
+search stops at size n - 1, where a last step builds the children.
+count_class lists nothing: where a walk's state decides every completion
+(the two masks; a steady code's last value and floor; a tree's number of
+root children), it sums over states through the listing's child step,
+each state once, as a succession rule counts by labels; permutations and
+words of other lengths, whose completion masks read the whole prefix,
+count the children of each member of size n - 1.
 
 The single-object oracles share the enumerators' state: avoids_triple
 carries the same two bitmasks over the same ban table in one left-to-right
@@ -49,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import product, repeat
-from math import inf, prod
+from math import inf
 
 from .errors import MembershipError, ParseError, check_size
 from .objects import (
@@ -437,18 +442,21 @@ def _ban_table(types, n):
 
 
 # -- enumerators ----------------------------------------------------------------
-# Each exhaustive enumerator is one walk over the members of size n - 1 (for
-# n >= 1; size 0 is its own case) that hands each member, with what the
-# search knows of its children, to a last step and adds up what that step
-# returns.  The listing form's last step returns the children, built in its
-# own loop; the counting form's returns how many there are, so a count never
-# builds the top level.  Both forms are cached.
+# Each exhaustive enumerator walks the members of size n - 1 (for n >= 1;
+# size 0 is its own case), each carrying a small state, and grows a member
+# through a child step that gives each child's state.  The listing form
+# hands each member of size n - 1 to a last step that builds its children.
+# Where the state alone decides every completion of a member, the counting
+# form is a recursion on the state through the same child step, memoized
+# within the one call, so members that share a state are counted once (the
+# labels of a generating tree, as in gentree.label_distribution).  Both
+# forms are cached.
 
 
-def _invseq_walk(triples, words, n, last, acc):
-    """acc plus last(prefix, banned) over the members prefix of length n - 1,
-    in lexicographic order, where banned is the mask of the values whose
-    appending would complete an occurrence of a listed pattern.
+def _invseq_children(triples, words, n):
+    """The child step of _invseq_walk for sequences of length n: a function
+    of (m, seen, banned) of a prefix of length m < n - 1 that gives the
+    (v, seen', banned') of each allowed next entry v, in increasing v.
 
     Whether a relation triple or a 3-letter word occurs at positions
     i < j < k depends only on the values (e_i, e_j, e_k).  So each prefix
@@ -456,14 +464,35 @@ def _invseq_walk(triples, words, n, last, acc):
     the values c such that some (e_i, e_j, c) with i < j is an occurrence.
     A next entry v completes an occurrence exactly when v is banned, and
     placing v bans every c with (a, v, c) an occurrence for some a in seen.
-    For a word of any other length, one search per prefix over the
-    occurrences of the word less its last letter (_completing, as in
-    _perm_walk) adds the values that would complete one to banned.
-    """
+    The children of a state are worked out once per call."""
     bans = _ban_table(_order_types(triples, [w.word for w in words if len(w.word) == 3]), n)
+
+    @cache
+    def banned_by(v, seen):
+        """The values banned by placing v after the values seen."""
+        add = 0
+        for a in range(seen.bit_length()):
+            if seen >> a & 1:
+                add |= bans[a][v]
+        return add
+
+    @cache
+    def children(m, seen, banned):
+        return [(v, seen | 1 << v, banned | banned_by(v, seen)) for v in range(m + 1) if not banned >> v & 1]
+
+    return children
+
+
+def _invseq_walk(triples, words, n, last, acc):
+    """acc plus last(prefix, banned) over the members prefix of length n - 1,
+    in lexicographic order, where banned is the mask of the values whose
+    appending would complete an occurrence of a listed pattern, grown
+    through _invseq_children.  For a word of any other length, one search
+    per prefix over the occurrences of the word less its last letter
+    (_completing, as in _perm_walk) adds the values that would complete one
+    to banned."""
+    children = _invseq_children(triples, words, n)
     searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, words) if len(plan) != 3]
-    # banned_after[v][seen]: the values banned by placing v after the set seen
-    banned_after = [{} for _ in range(n)]
 
     def extend(prefix, seen, banned):
         nonlocal acc
@@ -473,17 +502,8 @@ def _invseq_walk(triples, words, n, last, acc):
         if m + 1 == n:
             acc += last(prefix, banned)
             return
-        for v in range(m + 1):
-            if banned >> v & 1:
-                continue
-            add = banned_after[v].get(seen)
-            if add is None:
-                add = 0
-                for a in range(m):
-                    if seen >> a & 1:
-                        add |= bans[a][v]
-                banned_after[v][seen] = add
-            extend(prefix + (v,), seen | 1 << v, banned | add)
+        for v, seen_v, banned_v in children(m, seen, banned):
+            extend(prefix + (v,), seen_v, banned_v)
 
     extend((), 0, 0)
     return acc
@@ -502,9 +522,28 @@ def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _invseq_count(triples, words, n) -> int:
-    """len(invseq_class_raw(triples, words, n)), by the same walk."""
+    """len(invseq_class_raw(triples, words, n)).  A prefix of length n - 1
+    has the popcount of its allowed values 0..n-1 as children.
+
+    For relation triples and 3-letter words, the completions of a prefix
+    depend only on its state (m, seen, banned), so this sums over states
+    through _invseq_children, each counted once.  A word of another length
+    is searched for along the whole prefix (_completing), which no such
+    state records, so those classes walk every prefix (_invseq_walk)."""
+    if not n:
+        return 1
     values = (1 << n) - 1  # the values 0..n-1 an n-th entry may take
-    return _invseq_walk(triples, words, n, lambda prefix, banned: (values & ~banned).bit_count(), 0) if n else 1
+    if any(len(w.word) != 3 for w in words):
+        return _invseq_walk(triples, words, n, lambda prefix, banned: (values & ~banned).bit_count(), 0)
+    children = _invseq_children(triples, words, n)
+
+    @cache
+    def count(m, seen, banned):
+        if m + 1 == n:
+            return (values & ~banned).bit_count()
+        return sum(count(m + 1, s, b) for _, s, b in children(m, seen, banned))
+
+    return count(0, 0, 0)
 
 
 def _perm_children(cur, bad):
@@ -561,12 +600,12 @@ def _perm_count(patterns, n) -> int:
     return _perm_walk(patterns, n, lambda cur, bad: (((1 << len(cur) + 2) - 2) & ~bad).bit_count(), 0) if n else 1
 
 
-def _steady_walk(n, allows_w, last, acc):
-    """acc plus last(word, ends, floor) over the prefixes word, up to their
-    (n-1)-th up step, of the steady words of size n (the Dyck words when not
-    allows_w), in lexicographic order of their codes (objects.steady_code);
-    floor is the least d_n the prefix allows and ends[d] the n-th up step
-    with d_n = d and the closing descent.
+def _steady_walk(n, allows_w):
+    """The steady words of size n >= 1 (the Dyck words when not allows_w),
+    in lexicographic order of their codes (objects.steady_code): each prefix
+    up to its (n-1)-th up step, with the least d_n it allows as floor, is
+    completed by ends[d_{n-1}][d], the n-th up step with d_n = d >= floor
+    and the closing descent.
 
     Any inversion sequence d_1..d_n is the code of a cone-confined word,
     objects.steady_word(d); only S1/S2 remain.  The k-th up step starts on
@@ -580,69 +619,76 @@ def _steady_walk(n, allows_w, last, acc):
     empties the range 0..k-1, so every prefix it keeps can be completed;
     the word is built as the d_k are chosen.  A Dyck word is a steady word
     without W, whose code never falls, so there the floor is always
-    d_{k-1}, which also meets S1/S2.
+    d_{k-1}, which also meets S1/S2 (_steady_children).
     """
     # steps[p][d]: from an up step with d_k = p through the next, with d_{k+1} = d
     steps = [["D" * (d - p) + "W" * (p - d) + "U" for d in range(n)] for p in range(n)]
     ends = [[row[d] + "D" * (n - d) for d in range(n)] for row in steps]
+    children = _steady_children(allows_w)
+    out = []
 
     def extend(word, k, d_prev, floor):
-        nonlocal acc
         if k + 1 == n:
-            acc += last(word, ends[d_prev], floor)
+            out.extend([word + end for end in ends[d_prev][floor:]])
             return
         row = steps[d_prev]
-        for d in range(floor, k + 1):
-            extend(word + row[d], k + 1, d, floor if allows_w and d > d_prev else d)
+        for d, floor_d in children(k, d_prev, floor):
+            extend(word + row[d], k + 1, d, floor_d)
 
     extend("", 0, 0, 0)
-    return acc
+    return out
 
 
-def _completed(word, ends, floor):
-    """The words of size n that complete a prefix of _steady_walk."""
-    return [word + end for end in ends[floor:]]
+def _steady_children(allows_w):
+    """The child step of _steady_walk, for one walk: a function of
+    (k, d_k, floor) after k up steps that gives (d, floor') for each allowed
+    d_{k+1} = d, in increasing d.  A fall (d < d_k, W steps) or a stay makes
+    a UU or WU factor, which raises the floor to d; a rise (D steps, a
+    valley) keeps it, and a Dyck word never falls."""
+
+    @cache
+    def children(k, d_prev, floor):
+        return [(d, floor if allows_w and d > d_prev else d) for d in range(floor, k + 1)]
+
+    return children
 
 
 @lru_cache(maxsize=None)
 def dyck_words(n) -> tuple[str, ...]:
     """All Dyck words of size n, in lexicographic order, which is that of
     their codes (U before D)."""
-    return tuple(_steady_walk(n, False, _completed, [])) if n else ("",)
+    return tuple(_steady_walk(n, False)) if n else ("",)
 
 
 @lru_cache(maxsize=None)
 def steady_words(n) -> tuple[str, ...]:
     """All steady words of size n, in lexicographic order of their codes."""
-    return tuple(_steady_walk(n, True, _completed, [])) if n else ("",)
+    return tuple(_steady_walk(n, True)) if n else ("",)
 
 
-def _marked_walk(words, steady, last, acc):
-    """acc plus last(w, ranges) over the step words w, where ranges holds
-    the marks each valley of w may take: 0..h at height h, or 0 alone where
-    nonzero_mark_blockers blocks it (only when steady)."""
+def _marked_walk(words, steady):
+    """Each step word w with each choice of marks for its valleys: 0..h at
+    height h, or 0 alone where nonzero_mark_blockers blocks it (only when
+    steady)."""
+    out = []
     for w in words:
         vals = path_valleys(w)
         blocked = nonzero_mark_blockers(w, vals) if steady else [None] * len(vals)
-        acc += last(w, [(0,) if b else range(h + 1) for (_, h), b in zip(vals, blocked)])
-    return acc
-
-
-def _marked_paths(w, ranges):
-    return zip(repeat(w), product(*ranges))
+        out += zip(repeat(w), product(*[(0,) if b else range(h + 1) for (_, h), b in zip(vals, blocked)]))
+    return out
 
 
 @lru_cache(maxsize=None)
 def vmdyck_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Dyck words with every valley at height h marked 0..h."""
-    return tuple(_marked_walk(dyck_words(n), False, _marked_paths, []))
+    return tuple(_marked_walk(dyck_words(n), False))
 
 
 @lru_cache(maxsize=None)
 def vmsteady_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Steady words with every mark allowed by nonzero_mark_blockers: a
     blocked valley keeps mark 0, a free one at height h takes 0..h."""
-    return tuple(_marked_walk(steady_words(n), True, _marked_paths, []))
+    return tuple(_marked_walk(steady_words(n), True))
 
 
 def _path_raw(kind: PathKind, n):
@@ -653,22 +699,49 @@ def _path_raw(kind: PathKind, n):
 
 @lru_cache(maxsize=None)
 def _path_count(kind: PathKind, n) -> int:
-    """len(_path_raw(kind, n)), by the steady walk: the n - floor allowed last
-    up steps, or for a marked kind the marks of each word they complete."""
-    if not n:
-        return 1
-    if not kind.marked:
-        return _steady_walk(n, kind.allows_w, lambda word, ends, floor: n - floor, 0)
+    """len(_path_raw(kind, n)), by a recursion on the state (k, d_k, floor)
+    of _steady_walk through its child step (_steady_children), which
+    decides every completion, each state counted once.
 
-    def marks(word, ends, floor):
-        return _marked_walk(_completed(word, ends, floor), kind.allows_w, lambda w, ranges: prod(map(len, ranges)), 0)
+    The k-th up step starts at height k - 1 - d_k, so the valley before up
+    step k + 1 (when d_{k+1} > d_k) sits at height k - d_{k+1}, and the W
+    steps before it (when d_{k+1} < d_k) start at heights k - d_k up to
+    k - d_{k+1} - 1.  An unmarked path counts 1 per code, and a marked Dyck
+    path h + 1 marks per valley at height h.  In a marked steady path with
+    lowest W start M, a W step blocks a nonzero mark on a valley above its
+    start, or at its height and to its left (objects.nonzero_mark_blockers):
+    a valley below M is free, one above M is blocked, and one at height M is
+    free only after the last W step at height M.  So a marked steady count
+    sums over M: no W (M = n, every valley free), or M = 0..n-1, where the
+    state also carries whether the rest of the path must still hold a W
+    step at height M; a W run that starts at M leaves either answer."""
+    marked, allows_w = kind.marked, kind.allows_w
+    children = _steady_children(allows_w)
 
-    return _steady_walk(n, kind.allows_w, marks, 0)
+    @cache
+    def count(k, d_prev, floor, lowest_w, must_w):
+        if k == n:
+            return int(not must_w)
+        c = 0
+        for d, floor_d in children(k, d_prev, floor):
+            if marked and d < d_prev:  # a W run, whose lowest step starts at k - d_prev
+                low = k - d_prev
+                if low > lowest_w:
+                    c += count(k + 1, d, floor_d, lowest_w, must_w)
+                elif low == lowest_w and must_w:
+                    c += count(k + 1, d, floor_d, lowest_w, False) + count(k + 1, d, floor_d, lowest_w, True)
+                continue
+            h = k - d  # the height of the valley before up step k + 1 when d > d_prev
+            free = marked and d > d_prev and (h < lowest_w or h == lowest_w and not must_w)
+            c += (h + 1 if free else 1) * count(k + 1, d, floor_d, lowest_w, must_w)
+        return c
+
+    return count(0, 0, 0, n, False) + sum(count(0, 0, 0, m, True) for m in range(n if marked and allows_w else 0))
 
 
-def _grow_trees(n, leaves_increasing: bool, last, acc):
-    """acc plus last(labels, arity, starts, runs) over the partial trees
-    that hold n..2 under the root, where runs are the places of vertex 1.
+def _grow_trees(n, leaves_increasing: bool):
+    """The trees of size n >= 1: vertex 1 over each of its places in each
+    partial tree that holds n..2 under the root.
 
     The trees are increasing ordered trees on 0..n, built from the root alone
     by placing n, n-1, .., 1 under the root in turn, each over a run of
@@ -677,34 +750,40 @@ def _grow_trees(n, leaves_increasing: bool, last, acc):
     gap only.  The search keeps an explicit stack of the root's children
     (pre-order labels and arities, each child's start, then their end) and
     the next vertex, which goes in before the first child of its run i..j; a
-    leaf is i..i."""
+    leaf is i..i (_tree_places)."""
+    places = _tree_places(leaves_increasing)
+    out = []
     stack = [((), (), (0,), n)]
     while stack:
         labels, arity, starts, v = stack.pop()
         k = len(starts) - 1
-        runs = [(g, g) for g in range(1 if leaves_increasing else k + 1)]
-        runs += [(i, j) for i in range(k) for j in range(i + 1, k + 1)]
+        runs = places(k)
         if v == 1:
-            acc += last(labels, arity, starts, runs)
+            for i, j in runs:  # vertex 1 over i..j leaves the root k - (j - i) + 1 children
+                p = starts[i]
+                tree = (0,) + labels[:p] + (1,) + labels[p:], (k + 1 - j + i,) + arity[:p] + (j - i,) + arity[p:]
+                out.append(OrderedTree._from_flat(*tree))
             continue
         for i, j in reversed(runs):
             p = starts[i]
             shifted = starts[: i + 1] + tuple(s + 1 for s in starts[j:])
             stack.append((labels[:p] + (v,) + labels[p:], arity[:p] + (j - i,) + arity[p:], shifted, v - 1))
-    return acc
-
-
-def _trees(labels, arity, starts, runs):
-    """The trees vertex 1 completes, placed as in _grow_trees over each run
-    i..j of the root's k children, which leaves the root k - (j - i) + 1."""
-    k = len(starts) - 1
-    out = []
-    for i, j in runs:
-        p = starts[i]
-        out.append(
-            OrderedTree._from_flat((0,) + labels[:p] + (1,) + labels[p:], (k + 1 - j + i,) + arity[:p] + (j - i,) + arity[p:])
-        )
     return out
+
+
+def _tree_places(leaves_increasing):
+    """The child step of _grow_trees, for one walk: a function of the
+    number k of root children that gives the runs i..j where the next
+    vertex may go, the gaps i..i first (the leftmost only with
+    leaves_increasing).  Placing it leaves the root k - (j - i) + 1
+    children."""
+
+    @cache
+    def places(k):
+        gaps = [(g, g) for g in range(1 if leaves_increasing else k + 1)]
+        return gaps + [(i, j) for i in range(k) for j in range(i + 1, k + 1)]
+
+    return places
 
 
 @lru_cache(maxsize=None)
@@ -720,7 +799,7 @@ def increasing_ordered_trees(n) -> tuple[OrderedTree, ...]:
     children there are k(k+1)/2 runs and k+1 gaps.  Read with final labels,
     this places n first and 1 last, always under the root (_grow_trees).
     """
-    return tuple(_grow_trees(n, False, _trees, [])) if n else (OrderedTree._from_flat((0,), (0,)),)
+    return tuple(_grow_trees(n, False)) if n else (OrderedTree._from_flat((0,), (0,)),)
 
 
 @lru_cache(maxsize=None)
@@ -739,13 +818,22 @@ def increasing_leaf_trees(n) -> tuple[OrderedTree, ...]:
     make non-members, and by the closure everything grown from a
     non-member is one, so the order is that of increasing_ordered_trees.
     """
-    return tuple(_grow_trees(n, True, _trees, [])) if n else (OrderedTree._from_flat((0,), (0,)),)
+    return tuple(_grow_trees(n, True)) if n else (OrderedTree._from_flat((0,), (0,)),)
 
 
 @lru_cache(maxsize=None)
 def _leaf_tree_count(n) -> int:
-    """len(increasing_leaf_trees(n)), by the same walk."""
-    return _grow_trees(n, True, lambda labels, arity, starts, runs: len(runs), 0) if n else 1
+    """len(increasing_leaf_trees(n)), by a recursion on the state of
+    _grow_trees through its child step (_tree_places): the places of the
+    next vertex v, and so every completion, depend only on the number k of
+    root children, so each (k, v) is counted once."""
+    places = _tree_places(True)
+
+    @cache
+    def count(k, v):
+        return sum(count(k - (j - i) + 1, v - 1) for i, j in places(k)) if v else 1
+
+    return count(0, n)
 
 
 def _as_pattern_key(spec):
@@ -795,23 +883,24 @@ def enumerate_class(kind: str, spec, n: int, limit=None):
 
 
 def count_class(kind: str, spec, n: int, limit=None) -> int:
-    """len(enumerate_class(kind, spec, n, limit)), with the same errors, by
-    the enumerator's walk over the members of size n - 1 and a last step
-    that counts each member's children instead of building them:
+    """len(enumerate_class(kind, spec, n, limit)), with the same errors,
+    without listing the class.  Where a walk's state decides every
+    completion, a recursion on the state through the listing's child step
+    counts each state once:
 
-    - inversion sequences: the values 0..n-1 that are not banned, the
-      popcount of the allowed mask, since a value is banned exactly when
-      appending it completes an occurrence;
-    - permutations: the ranks 1..n that are not banned, for the same reason;
-    - steady and Dyck words: n - floor, since every d_n from the floor to
-      n - 1 ends a member and no other does;
-    - marked Dyck and marked steady paths: the product of (h + 1) over the
-      free valleys of each word that such a d_n completes, since each free
-      valley at height h takes any mark 0..h independently and a blocked
-      one only 0;
-    - increasing-leaves trees: 1 + k(k+1)/2 places for vertex 1 under a root
-      with k children, its k(k+1)/2 runs and the leftmost gap, each of which
-      gives one member.
+    - inversion sequences avoiding relation triples or 3-letter words:
+      (m, seen, banned), ending in the popcount of the values 0..n-1 that
+      are not banned (_invseq_count);
+    - steady and Dyck words: (k, d_k, floor), one per code; a marked Dyck
+      path weighs each valley at height h by its h + 1 marks, and a marked
+      steady path sums over its lowest W height M, a valley weighing h + 1
+      when free and 1 when blocked (_path_count);
+    - increasing-leaves trees: (root children k, next vertex v), one per
+      place of v (_leaf_tree_count).
+
+    Permutations and words of other lengths, whose completion masks come
+    from a search of the whole prefix, visit each member of size n - 1 and
+    add the popcount of the values (ranks) it allows.
     """
     _, counting, args, _ = _class(kind, spec, n, limit)
     return counting(*args)

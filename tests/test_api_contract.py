@@ -17,15 +17,15 @@ CASES = [
     ("InversionSequence", (None,), TypeError),
     ("InversionSequence", (("a",),), ValueError),
     ("LatticePath", ("UX", (), "dyck"), ParseError),
-    ("LatticePath", ("UD", (), "nope"), ValueError),
+    ("LatticePath", ("UD", (), "nope"), UnknownNameError),
     ("OrderedTree", (0, (5,)), TypeError),
-    ("PathKind", ("nope",), ValueError),
+    ("PathKind", ("nope",), UnknownNameError),
     ("PathStatistics", (1,), TypeError),
     ("ValidationReport", (True,), TypeError),
-    ("make_path", ("UD", None, "nope"), ValueError),
+    ("make_path", ("UD", None, "nope"), UnknownNameError),
     ("make_path", ("UDUD", (1, 2)), ParseError),
     ("parse_object", ("0,x", "invseq"), ParseError),
-    ("parse_object", ("UD", "nope"), ValueError),
+    ("parse_object", ("UD", "nope"), UnknownNameError),
     ("path_statistics", (5,), TypeError),
     ("path_statistics", (make_path("DU"),), MembershipError),
     ("to_text", (5,), TypeError),
@@ -42,7 +42,7 @@ CASES = [
     ("avoids_word", (E, powcat.VincularPattern((1, 2))), TypeError),
     ("count_class", ("invseq-triple", GEQ_DASH_GEQ, 99), LimitError),
     ("count_class", ("nope", None, 3), ParseError),
-    ("enumerate_class", ("path-kind", "nope", 3), ValueError),
+    ("enumerate_class", ("path-kind", "nope", 3), UnknownNameError),
     ("enumerate_class", ("tree", None, 0), LimitError),
     ("equinumerosity_check", (("tree", None), ("tree", None), 99), LimitError),
     ("in_class", ("nope", None, E), ParseError),
@@ -90,6 +90,12 @@ CASES = [
     ("kernel_w", (41,), LimitError),
     ("reference_sequence", ("nope", 3), UnknownNameError),
     ("reference_sequence", ("catalan", 0), LimitError),
+    # appended, so that the rows above keep their test ids
+    ("SuccessionRule", ("x", "bad", tuple), TypeError),
+    ("SuccessionRule", ("x", (), tuple), ValueError),
+    ("SuccessionRule", ("x", (1, -1), tuple), ValueError),
+    ("SuccessionRule", ("x", (1,), None), TypeError),
+    ("SuccessionRule", (5, (1,), tuple), TypeError),
 ]
 
 

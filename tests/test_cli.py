@@ -32,21 +32,34 @@ def test_count_family_syntaxes_agree():
 
 
 def test_a_repeated_count_walks_its_class_once(monkeypatch):
-    # the counting walk's total is kept, so a warm count request looks it up
+    # the counting recursion's total is kept, so a warm count request looks
+    # it up and takes no child step
     from powcat import patterns
 
-    walks = []
-    walk = patterns._invseq_walk
+    states = []
+    children = patterns._invseq_children
 
-    def counted_walk(*args):
-        walks.append(args[:3])
-        return walk(*args)
+    def counted_children(*args):
+        step = children(*args)
 
-    monkeypatch.setattr(patterns, "_invseq_walk", counted_walk)
+        def counted_step(*state):
+            states.append(state)
+            return step(*state)
+
+        return counted_step
+
+    monkeypatch.setattr(patterns, "_invseq_children", counted_children)
     patterns._invseq_count.cache_clear()  # an earlier test may have counted this class
-    outs = [run(["count", "--family", "eq,gt,gt", "--n", "7"]) for _ in range(2)]
-    assert outs == [(0, "3207\n")] * 2
-    assert len(walks) == 1
+    assert run(["count", "--family", "eq,gt,gt", "--n", "7"]) == (0, "3207\n")
+    stepped = len(states)
+    assert stepped == len(set(states)) > 0  # each state of the recursion is stepped once
+    assert run(["count", "--family", "eq,gt,gt", "--n", "7"]) == (0, "3207\n")
+    assert len(states) == stepped
+
+
+def test_an_unknown_path_kind_exits_2_with_one_line(capsys):
+    assert run(["count", "--family", "path:nope", "--n", "3"]) == (2, "")
+    assert capsys.readouterr().err == "error: unknown path kind 'nope'; known: dyck, steady, vmdyck, vmsteady\n"
 
 
 def test_count_a_four_letter_word_class():

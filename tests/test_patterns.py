@@ -360,6 +360,24 @@ def test_count_class_takes_limit_as_enumerate_class_does(kind):
     assert count_class(kind, spec, n, limit=n) == len(enumerate_class(kind, spec, n, limit=n))
 
 
+# each inversion-sequence family's series.reference_sequence name
+FAMILY_SEQUENCES = {"cat": "catalan", "i-geq3": "a108307", "bax": "baxter", "semi": "semibaxter", "pcat": "pcat"}
+
+
+def test_counts_are_the_reference_terms():
+    # the counting recursions against closed forms and recurrences, at every
+    # size up to each kind's top, without a listing to lean on
+    for fam, name in FAMILY_SEQUENCES.items():
+        words = tuple(map(WordPattern.parse, WORD_CHARACTERIZATIONS[fam]))
+        want = reference_sequence(name, 10)
+        assert [count_class("invseq-triple", INVSEQ_FAMILIES[fam], n) for n in range(1, 11)] == want, fam
+        assert [count_class("invseq-words", words, n) for n in range(1, 11)] == want, fam
+    catalan, pcat = reference_sequence("catalan", 8), reference_sequence("pcat", 8)
+    assert [count_class("path-kind", PathKind.DYCK, n) for n in range(1, 9)] == catalan
+    for kind, spec in (("path-kind", PathKind.STEADY), ("path-kind", PathKind.VMDYCK), ("tree", None)):
+        assert [count_class(kind, spec, n) for n in range(1, 9)] == pcat, spec
+
+
 def test_pattern_parse_errors():
     from powcat.errors import ParseError
 
