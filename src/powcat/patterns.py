@@ -27,7 +27,11 @@ validating it, and each test is exact:
   children are built;
 - steady and Dyck words: the least diagonal distance the S1/S2
   conditions of the up steps so far allow for the next one, which for a
-  Dyck word, whose code never falls, is that of the last one;
+  Dyck word, whose code never falls, is that of the last one; the marked
+  listings run the same walk, which reads each valley's height and each
+  W run's lowest start off the code (_code_event), and give each word the
+  one tuple of mark choices shared by every word with the same of these
+  events (_marks);
 - increasing-leaves trees: vertices n, .., 1 go under the root in turn,
   and the class is closed under deleting vertex 1, so every partial tree
   is a member.
@@ -35,8 +39,9 @@ validating it, and each test is exact:
 The last two keep exactly the prefixes that can be completed, so their
 searches have no dead ends.  The docstrings give each condition and why it
 holds.  Streams are reproducible: each raw listing comes in its walk's
-fixed order, and enumerate_class sorts by canonical text.  Each listing
-search stops at size n - 1, where a last step builds the children.
+fixed order, and enumerate_class returns canonical text order, sorting
+where the walk's order is not already that.  Each listing search stops at
+size n - 1, where a last step builds the children.
 count_class lists nothing: where a walk's state decides every completion
 (the two masks; a steady code's last value and floor; a tree's number of
 root children), it sums over states through the listing's child step,
@@ -55,6 +60,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import product, repeat
 from math import inf
+from operator import itemgetter
 
 from .errors import MembershipError, ParseError, check_size
 from .objects import (
@@ -64,8 +70,6 @@ from .objects import (
     PathKind,
     Permutation,
     make_path,
-    nonzero_mark_blockers,
-    path_valleys,
     require_valid,
     to_text,
 )
@@ -546,16 +550,28 @@ def _invseq_count(triples, words, n) -> int:
     return count(0, 0, 0)
 
 
-def _perm_children(cur, bad):
-    """The children cur' + (a,) of a permutation cur of 1..m for the ranks
-    a = 1..m+1 outside the mask bad, where cur' adds 1 to the values >= a."""
-    return [tuple([v if v < a else v + 1 for v in cur]) + (a,) for a in range(1, len(cur) + 2) if not bad >> a & 1]
+def _perm_children(n):
+    """The child step of _perm_walk, for one walk over sizes up to n: a
+    function of a permutation cur of 1..m and a mask bad that gives the
+    children cur' + (a,) for the ranks a = 1..m+1 outside bad, where cur'
+    adds 1 to the values >= a.  Row a of the walk's rank table holds
+    v + (v >= a) at each v <= n and then a itself, so one itemgetter per
+    parent reads each child off its row.  The table is sized by n, not by
+    SIZE_LIMITS, since the limit= argument of the class functions lets n
+    pass them."""
+    rows = [tuple(v + (v >= a) for v in range(n + 1)) + (a,) for a in range(n + 1)]
+
+    def children(cur, bad):
+        get = itemgetter(*cur, n + 1) if cur else itemgetter(slice(n + 1, None))  # the child (a,) of ()
+        return [get(rows[a]) for a in range(1, len(cur) + 2) if not bad >> a & 1]
+
+    return children
 
 
-def _perm_walk(patterns, n, last, acc):
+def _perm_walk(patterns, n, children, last, acc):
     """acc plus last(cur, bad) over the members cur of size n - 1 (n >= 1),
-    grown level by level through _perm_children, where bad is the
-    mask of the ranks whose appending would complete an occurrence.
+    grown level by level through children (_perm_children), where bad is
+    the mask of the ranks whose appending would complete an occurrence.
 
     Deleting the last entry of a permutation and standardizing never makes
     an occurrence, so a child of a member contains a pattern only through
@@ -577,7 +593,7 @@ def _perm_walk(patterns, n, last, acc):
     searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, patterns)]
     level = [()]
     for m in range(n):
-        step, grown = (last, acc) if m + 1 == n else (_perm_children, [])
+        step, grown = (last, acc) if m + 1 == n else (children, [])
         for cur in level:
             bad = 0
             for plan, bounds in searches:
@@ -591,21 +607,25 @@ def _perm_walk(patterns, n, last, acc):
 def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
     """All permutations of 1..n avoiding every listed vincular pattern, grown
     by appending a rank (_perm_walk, _perm_children)."""
-    return tuple(_perm_walk(patterns, n, _perm_children, [])) if n else ((),)
+    children = _perm_children(n)
+    return tuple(_perm_walk(patterns, n, children, children, [])) if n else ((),)
 
 
 @lru_cache(maxsize=None)
 def _perm_count(patterns, n) -> int:
     """len(perm_class_raw(patterns, n)), by the same walk."""
-    return _perm_walk(patterns, n, lambda cur, bad: (((1 << len(cur) + 2) - 2) & ~bad).bit_count(), 0) if n else 1
+    allowed = lambda cur, bad: (((1 << len(cur) + 2) - 2) & ~bad).bit_count()  # the ranks 1..m+1 outside bad
+    return _perm_walk(patterns, n, _perm_children(n), allowed, 0) if n else 1
 
 
-def _steady_walk(n, allows_w):
+def _steady_walk(n, allows_w, marked):
     """The steady words of size n >= 1 (the Dyck words when not allows_w),
     in lexicographic order of their codes (objects.steady_code): each prefix
     up to its (n-1)-th up step, with the least d_n it allows as floor, is
     completed by ends[d_{n-1}][d], the n-th up step with d_n = d >= floor
-    and the closing descent.
+    and the closing descent.  When marked, each word comes with every
+    choice of its valleys' marks (_marks), word by word, the walk carrying
+    the events of the code rule (_code_event) from which they follow.
 
     Any inversion sequence d_1..d_n is the code of a cone-confined word,
     objects.steady_word(d); only S1/S2 remain.  The k-th up step starts on
@@ -635,7 +655,21 @@ def _steady_walk(n, allows_w):
         for d, floor_d in children(k, d_prev, floor):
             extend(word + row[d], k + 1, d, floor_d)
 
-    extend("", 0, 0, 0)
+    if not marked:
+        extend("", 0, 0, 0)
+        return out
+    marks = cache(partial(_marks, n, {}))  # one tuple of mark choices per event signature
+
+    def extend_marked(word, events, k, d_prev, floor):
+        if k + 1 == n:
+            for d, end in enumerate(ends[d_prev][floor:], floor):
+                out.extend(zip(repeat(word + end), marks(events + _code_event(k, d_prev, d))))
+            return
+        row = steps[d_prev]
+        for d, floor_d in children(k, d_prev, floor):
+            extend_marked(word + row[d], events + _code_event(k, d_prev, d), k + 1, d, floor_d)
+
+    extend_marked("", (), 0, 0, 0)
     return out
 
 
@@ -653,42 +687,76 @@ def _steady_children(allows_w):
     return children
 
 
+def _code_event(k, d_prev, d):
+    """The code rule, the one place where the marked listing and _path_count
+    read valleys and W steps off a code: what lies between up steps k and
+    k + 1 when d_k = d_prev and d_{k+1} = d.
+
+    The k-th up step starts at height k - 1 - d_k and ends at k - d_k.  So a
+    rise leaves a valley at height h = k - d_{k+1}, event (h,); a fall is a
+    W run whose steps start at heights k - d_k up to k - d_{k+1} - 1, event
+    (~low,) for its lowest start low = k - d_k (negative, so apart from any
+    valley); a stay is event ()."""
+    return (k - d,) if d > d_prev else (~(k - d_prev),) if d < d_prev else ()
+
+
+def _marks(n, shared, events):
+    """Every choice of marks, valley by valley from the left, for a marked
+    path of size n whose code gives the events (_code_event); each choice
+    is the one tuple of its values in the dict shared, so that paths with
+    other events share it too.
+
+    A valley at height h takes a mark 0..h unless a W step blocks a nonzero
+    one (objects.nonzero_mark_blockers): one whose start lies below h, or at
+    h and to the valley's right.  Let M be the lowest W start (n when there
+    is no W step, above every valley).  The W steps starting at M are the
+    lowest steps of the W runs whose lowest start is M, since every step of
+    another run starts higher.  So a valley is free when h < M, or when
+    h == M and it comes after the last W run starting at M; any other valley
+    takes 0 alone.  A Dyck word has no W step, so all its valleys are free."""
+    low = min((~e for e in events if e < 0), default=n)
+    ranges, w_at_low = [], False  # whether a W run starting at M lies to the right
+    for e in reversed(events):
+        if e == ~low:
+            w_at_low = True
+        elif e >= 0:
+            ranges.append(range(e + 1) if e < low or e == low and not w_at_low else (0,))
+    choices = list(product(*reversed(ranges)))
+    return tuple(map(shared.setdefault, choices, choices))
+
+
 @lru_cache(maxsize=None)
 def dyck_words(n) -> tuple[str, ...]:
     """All Dyck words of size n, in lexicographic order, which is that of
     their codes (U before D)."""
-    return tuple(_steady_walk(n, False)) if n else ("",)
+    return tuple(_steady_walk(n, False, False)) if n else ("",)
 
 
 @lru_cache(maxsize=None)
 def steady_words(n) -> tuple[str, ...]:
     """All steady words of size n, in lexicographic order of their codes."""
-    return tuple(_steady_walk(n, True)) if n else ("",)
-
-
-def _marked_walk(words, steady):
-    """Each step word w with each choice of marks for its valleys: 0..h at
-    height h, or 0 alone where nonzero_mark_blockers blocks it (only when
-    steady)."""
-    out = []
-    for w in words:
-        vals = path_valleys(w)
-        blocked = nonzero_mark_blockers(w, vals) if steady else [None] * len(vals)
-        out += zip(repeat(w), product(*[(0,) if b else range(h + 1) for (_, h), b in zip(vals, blocked)]))
-    return out
+    return tuple(_steady_walk(n, True, False)) if n else ("",)
 
 
 @lru_cache(maxsize=None)
 def vmdyck_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """Dyck words with every valley at height h marked 0..h."""
-    return tuple(_marked_walk(dyck_words(n), False))
+    """Dyck words, in the order of dyck_words, each with every choice of
+    marks for its valleys, a valley at height h taking 0..h, in the order
+    of itertools.product.  The walk reads each valley's height off the
+    code, k - d_{k+1} where d_{k+1} > d_k (_code_event), and words
+    with the same valley heights share one tuple of mark choices (_marks)."""
+    return tuple(_steady_walk(n, False, True)) if n else (("", ()),)
 
 
 @lru_cache(maxsize=None)
 def vmsteady_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """Steady words with every mark allowed by nonzero_mark_blockers: a
-    blocked valley keeps mark 0, a free one at height h takes 0..h."""
-    return tuple(_marked_walk(steady_words(n), True))
+    """Steady words, in the order of steady_words, each with every choice of
+    marks that objects.nonzero_mark_blockers allows: a blocked valley keeps
+    mark 0, a free one at height h takes 0..h.  The walk reads the valleys
+    and the lowest start of each W run off the code (_code_event); with
+    M the lowest W start, a valley is free when below M, or at M after the
+    last W run starting at M (_marks, which says why)."""
+    return tuple(_steady_walk(n, True, True)) if n else (("", ()),)
 
 
 def _path_raw(kind: PathKind, n):
@@ -703,18 +771,15 @@ def _path_count(kind: PathKind, n) -> int:
     of _steady_walk through its child step (_steady_children), which
     decides every completion, each state counted once.
 
-    The k-th up step starts at height k - 1 - d_k, so the valley before up
-    step k + 1 (when d_{k+1} > d_k) sits at height k - d_{k+1}, and the W
-    steps before it (when d_{k+1} < d_k) start at heights k - d_k up to
-    k - d_{k+1} - 1.  An unmarked path counts 1 per code, and a marked Dyck
+    The code rule (_code_event) gives each valley's height and each W run's
+    lowest start.  An unmarked path counts 1 per code, and a marked Dyck
     path h + 1 marks per valley at height h.  In a marked steady path with
-    lowest W start M, a W step blocks a nonzero mark on a valley above its
-    start, or at its height and to its left (objects.nonzero_mark_blockers):
-    a valley below M is free, one above M is blocked, and one at height M is
-    free only after the last W step at height M.  So a marked steady count
-    sums over M: no W (M = n, every valley free), or M = 0..n-1, where the
-    state also carries whether the rest of the path must still hold a W
-    step at height M; a W run that starts at M leaves either answer."""
+    lowest W start M, a valley below M is free, one above M is blocked, and
+    one at height M is free only after the last W run starting at M
+    (_marks).  So a marked steady count sums over M: no W (M = n, every
+    valley free), or M = 0..n-1, where the state also carries whether the
+    rest of the path must still hold a W run starting at M; a W run that
+    starts at M leaves either answer."""
     marked, allows_w = kind.marked, kind.allows_w
     children = _steady_children(allows_w)
 
@@ -724,16 +789,19 @@ def _path_count(kind: PathKind, n) -> int:
             return int(not must_w)
         c = 0
         for d, floor_d in children(k, d_prev, floor):
-            if marked and d < d_prev:  # a W run, whose lowest step starts at k - d_prev
-                low = k - d_prev
+            event = _code_event(k, d_prev, d)
+            if not (marked and event):
+                c += count(k + 1, d, floor_d, lowest_w, must_w)
+            elif event[0] < 0:  # a W run, whose lowest step starts at ~event[0]
+                low = ~event[0]
                 if low > lowest_w:
                     c += count(k + 1, d, floor_d, lowest_w, must_w)
                 elif low == lowest_w and must_w:
                     c += count(k + 1, d, floor_d, lowest_w, False) + count(k + 1, d, floor_d, lowest_w, True)
-                continue
-            h = k - d  # the height of the valley before up step k + 1 when d > d_prev
-            free = marked and d > d_prev and (h < lowest_w or h == lowest_w and not must_w)
-            c += (h + 1 if free else 1) * count(k + 1, d, floor_d, lowest_w, must_w)
+            else:  # a valley at height h
+                h = event[0]
+                free = h < lowest_w or h == lowest_w and not must_w
+                c += (h + 1 if free else 1) * count(k + 1, d, floor_d, lowest_w, must_w)
         return c
 
     return count(0, 0, 0, n, False) + sum(count(0, 0, 0, m, True) for m in range(n if marked and allows_w else 0))
@@ -877,9 +945,18 @@ def enumerate_class(kind: str, spec, n: int, limit=None):
     kind is one of invseq-triple, invseq-words, perm-vincular, path-kind,
     tree; spec carries the patterns (or the PathKind).  Raises LimitError
     outside the kind's size range.
+
+    Inversion sequences of length n <= 10 are not sorted: their walk lists
+    them in lexicographic order, and every entry is at most 9, so all their
+    texts have the same length, one digit per entry at the same places, and
+    compare as the tuples do.  From n = 11 (through limit=) an entry can
+    take two digits, so those and every other kind are sorted by text.
     """
     listing, _, args, make = _class(kind, spec, n, limit)
-    return sorted(map(make, listing(*args)), key=to_text)
+    objects = map(make, listing(*args))
+    if kind in ("invseq-triple", "invseq-words") and n <= 10:
+        return list(objects)
+    return sorted(objects, key=to_text)
 
 
 def count_class(kind: str, spec, n: int, limit=None) -> int:

@@ -1,7 +1,7 @@
 """Avoidance oracles, enumerators, and the structural characterizations."""
 import hashlib
 import operator
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from itertools import permutations as iperm
 from math import prod
 
@@ -13,6 +13,8 @@ from powcat.objects import (
     PathKind,
     Permutation,
     make_path,
+    nonzero_mark_blockers,
+    path_valleys,
     steady_word,
     to_text,
     validate,
@@ -308,6 +310,26 @@ def test_enumeration_is_sorted_by_text():
     assert len(texts) == len(set(texts)) == 23
 
 
+@pytest.mark.parametrize("family", sorted(INVSEQ_FAMILIES))
+def test_inversion_sequences_come_in_text_order_unsorted(family):
+    # enumerate_class does not sort inversion sequences of length <= 10
+    words = tuple(map(WordPattern.parse, WORD_CHARACTERIZATIONS[family]))
+    for kind, spec in (("invseq-triple", INVSEQ_FAMILIES[family]), ("invseq-words", words)):
+        for n in range(1, 9):
+            objs = enumerate_class(kind, spec, n)
+            assert objs == sorted(objs, key=to_text), (kind, n)
+
+
+def test_inversion_sequences_past_10_are_sorted_by_text():
+    # an entry of 10 has two digits, so from n = 11 the walk's order is not
+    # the text order and enumerate_class must sort
+    cat = INVSEQ_FAMILIES["cat"]
+    raw = invseq_class_raw((cat,), (), 11)
+    texts = [to_text(o) for o in enumerate_class("invseq-triple", cat, 11, limit=11)]
+    assert texts == sorted(texts) and sorted(texts) == sorted(map(to_text, raw))
+    assert texts != [to_text(e) for e in raw]
+
+
 # -- count_class ------------------------------------------------------------------------
 # count_class stops each walk at size n - 1 and counts the children there, so
 # it shares no last step with the listing.  Every kind, spec and size: the
@@ -471,6 +493,33 @@ def test_dyck_words_are_the_steady_words_of_the_weakly_increasing_codes():
         assert list(dyck_words(n)) == [steady_word(d) for d in codes], n
 
 
+def marked_by_text(words, steady):
+    """The marked listing read off each word's text: each word w with each
+    choice of marks for its valleys, 0..h at height h, or 0 alone where
+    nonzero_mark_blockers blocks it (only when steady)."""
+    out = []
+    for w in words:
+        vals = path_valleys(w)
+        blocked = nonzero_mark_blockers(w, vals) if steady else [None] * len(vals)
+        out += zip(repeat(w), product(*[(0,) if b else range(h + 1) for (_, h), b in zip(vals, blocked)]))
+    return out
+
+
+def test_marked_listings_match_the_marks_read_off_the_text():
+    # the listings read valleys, W runs and blockers off the code
+    for n in range(10):
+        assert list(vmdyck_paths_raw(n)) == marked_by_text(dyck_words(n), False), n
+    for n in range(9):
+        assert list(vmsteady_paths_raw(n)) == marked_by_text(steady_words(n), True), n
+
+
+def test_marked_paths_share_their_mark_tuples():
+    # each choice of marks is one tuple, shared by every member that makes
+    # it, so the listing holds far fewer marks tuples than members
+    r = vmdyck_paths_raw(9)
+    assert len({id(m) for _, m in r}) * 10 < len(r)
+
+
 # SHA-256 of each raw listing at sizes 1..8 (trees 1..7) in the order its
 # enumerator emits it; a family's triple and word routes give one listing
 RAW_DIGESTS = {
@@ -630,6 +679,16 @@ def test_perm_enumerator_matches_the_filter_in_order(patterns):
     for n in range(1, 8):
         want = [p for p in perms_by_appended_rank(n) if all(avoids_vincular(p, q) for q in patterns)]
         assert list(perm_class_raw(patterns, n)) == want, n
+
+
+def test_perm_listing_at_9_matches_the_shift_by_comprehension():
+    # each level grown by the plain shift and filtered by the ascent
+    # criterion (AV(1-23-4), closed under deleting the last entry)
+    level = [()]
+    for m in range(9):
+        grown = (tuple([v if v < a else v + 1 for v in p]) + (a,) for p in level for a in range(1, m + 2))
+        level = [c for c in grown if ascent_min_max_criterion(c)]
+    assert list(perm_class_raw((VincularPattern.parse("1-23-4"),), 9)) == level
 
 
 def test_ascent_criterion_matches_1_23_4():
