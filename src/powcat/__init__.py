@@ -8,6 +8,7 @@ from .objects import (
     OrderedTree,
     PathKind,
     PathStatistics,
+    Permutation,
     ValidationReport,
     make_path,
     parse_object,

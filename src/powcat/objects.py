@@ -2,13 +2,15 @@
 
 Four object kinds live here: inversion sequences, permutations, lattice
 paths over the step alphabet {U, D, W} with per-valley marks, and labeled
-ordered trees.  Values are immutable after construction and construction is
-permissive: invariants are checked by :func:`validate`, which reports every
-violation (not just the first) so that callers can shrink counterexamples.
-:func:`is_valid` is the membership test for hot paths: it returns exactly
-``validate(obj).ok`` from one pass per object and builds no report, so a
-caller that only needs the verdict, or builds the report only to word an
-error (:func:`require_valid`), pays for the report only on failure.
+ordered trees.  Values are immutable after construction.  Construction
+checks only the shape (integer entries, the step alphabet, one mark per
+valley, tree children); the kind invariants are stated once per kind, as
+a generator that yields a Violation for each breach it meets in one pass
+over the object.  :func:`validate` collects every violation (not just the
+first) so that callers can shrink counterexamples; :func:`is_valid`, the
+membership test for hot paths, stops at the first, so it is exactly
+``validate(obj).ok``, and a caller that builds the report only to word an
+error (:func:`require_valid`) pays for it only on failure.
 
 Path geometry conventions: U = (1,1), D = (1,-1), W = (-1,1); paths start at
 the origin; a valley is a DU factor and its height is the y-coordinate of
@@ -20,6 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, count
+from math import inf
 from operator import sub
 
 from .errors import MembershipError, ParseError, UnknownNameError
@@ -33,17 +36,25 @@ class PathKind(str, Enum):
     STEADY = "steady"
     VMSTEADY = "vmsteady"
 
+    def __init__(self, value):
+        # plain attributes: a property of an Enum member costs about ten times
+        # as much to read, and every membership test reads both
+        self.marked = value in ("vmdyck", "vmsteady")
+        self.allows_w = value in ("steady", "vmsteady")
+
     @classmethod
     def _missing_(cls, value):
         raise UnknownNameError("path kind", value, [k.value for k in cls])
 
-    @property
-    def marked(self) -> bool:
-        return self in (PathKind.VMDYCK, PathKind.VMSTEADY)
 
-    @property
-    def allows_w(self) -> bool:
-        return self in (PathKind.STEADY, PathKind.VMSTEADY)
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; ValueError when int() would change
+    one of them, so that 0.5 is not read as 0."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        raise ValueError(f"{what} {values!r} are not all integers")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ class InversionSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
+        object.__setattr__(self, "entries", _int_tuple(self.entries, "entries"))
 
     def __len__(self):
         return len(self.entries)
@@ -69,7 +80,7 @@ class Permutation:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(int, self.values)))
+        object.__setattr__(self, "values", _int_tuple(self.values, "values"))
 
     def __len__(self):
         return len(self.values)
@@ -96,7 +107,7 @@ class LatticePath:
         for i, s in enumerate(self.steps):
             if s not in STEP_VECTORS:
                 raise ParseError(f"step {s!r} is not one of U, D, W", position=i + 1)
-        object.__setattr__(self, "marks", tuple(map(int, self.marks)))
+        object.__setattr__(self, "marks", _int_tuple(self.marks, "marks"))
         nv = self.steps.count("DU")
         if len(self.marks) != nv:
             raise ParseError(
@@ -129,6 +140,8 @@ class OrderedTree:
     arity: tuple[int, ...]
 
     def __init__(self, label: int, children=()):
+        if not isinstance(label, int):
+            raise TypeError(f"the label of a tree must be an int, not {label!r}")
         children = tuple(children)
         for i, child in enumerate(children):
             if not isinstance(child, OrderedTree):
@@ -247,15 +260,6 @@ def last_descent_length(steps: str) -> int:
     return n
 
 
-def _up_factor_positions(steps: str) -> list[int]:
-    """Indices i of up steps that close a UU or WU factor (step i-1 in {U,W})."""
-    return [
-        i
-        for i in range(1, len(steps))
-        if steps[i] == "U" and steps[i - 1] in ("U", "W")
-    ]
-
-
 def edge_line_offset(steps: str) -> int:
     """Offset t of the edge line y = x - t through the up step of the
     rightmost UU or WU factor; t = 0 when no such factor exists."""
@@ -341,262 +345,222 @@ def steady_word(code) -> str:
 
 
 # -- validation ---------------------------------------------------------------
+#
+# One generator per kind states its rules and yields a Violation for each
+# breach as it meets it.  is_valid stops at the first; validate collects them
+# all and sorts them into report order: by the rank of the rule in
+# _REPORT_ORDER, then by position.  No two kinds share a rule name, and
+# within a rank no two violations share a position.
+
+_REPORT_ORDER = (
+    "length", "bound", "range distinct", "root", "labels", "increasing", "increasing-leaves",
+    "no-w", "below-axis cone", "factor-wd factor-dw", "endpoint", "S1 S2", "M1", "M2 M3", "zero-marks",
+)
+_REPORT_RANK = {name: rank for rank, names in enumerate(_REPORT_ORDER) for name in names.split()}
 
 
-def _validate_invseq(e: InversionSequence) -> list[Violation]:
-    out = []
-    if len(e.entries) == 0:
-        out.append(Violation("length", 0, "length must be at least 1"))
-    for i, v in enumerate(e.entries, start=1):
+def _invseq_violations(e: InversionSequence):
+    if not e.entries:
+        yield Violation("length", 0, "length must be at least 1")
+    i = 0  # a counter is cheaper than enumerate here
+    for v in e.entries:
+        i += 1
         if not 0 <= v < i:
-            out.append(Violation("bound", i, f"e_{i} = {v} violates 0 <= e_{i} < {i}"))
-    return out
+            yield Violation("bound", i, f"e_{i} = {v} violates 0 <= e_{i} < {i}")
 
 
-def _validate_perm(p: Permutation) -> list[Violation]:
-    out = []
+def _perm_violations(p: Permutation):
     n = len(p.values)
-    if n == 0:
-        out.append(Violation("length", 0, "length must be at least 1"))
-    seen = set()
-    for i, v in enumerate(p.values, start=1):
+    if not n:
+        yield Violation("length", 0, "length must be at least 1")
+    seen = [False] * (n + 1)
+    i = 0
+    for v in p.values:
+        i += 1
         if not 1 <= v <= n:
-            out.append(Violation("range", i, f"value {v} outside 1..{n}"))
-        elif v in seen:
-            out.append(Violation("distinct", i, f"value {v} repeated"))
-        seen.add(v)
-    return out
+            yield Violation("range", i, f"value {v} outside 1..{n}")
+        elif seen[v]:
+            yield Violation("distinct", i, f"value {v} repeated")
+        else:
+            seen[v] = True
 
 
-def _s1_s2_violations(steps: str, pts) -> list[Violation]:
-    # suffix_min[i] = min of x - y over points i..end; a factor whose up step
-    # sits on y = x - t is violated exactly when that minimum drops below t.
-    n = len(pts)
-    suffix_min = [0] * n
-    m = 10**9
-    for i in range(n - 1, -1, -1):
-        x, y = pts[i]
-        m = min(m, x - y)
-        suffix_min[i] = m
-    out = []
-    for i in _up_factor_positions(steps):
-        x, y = pts[i]
-        t = x - y
-        if i + 2 <= n - 1 and suffix_min[i + 2] < t:
-            px, py = next(p for p in pts[i + 2 :] if p[0] - p[1] < t)
-            name = "S1" if steps[i - 1] == "U" else "S2"
-            fx, fy = pts[i + 1]
-            out.append(
-                Violation(
-                    name,
-                    i + 1,
-                    f"{steps[i - 1]}U factor ending at ({fx},{fy}) is followed by "
-                    f"point ({px},{py}) above the line y = x - {t}",
-                )
-            )
-    return out
+def _path_violations(path: LatticePath):
+    """The rules of the path's kind, in one forward pass over the steps.
 
+    Geometry: only the first point outside the cone 0 <= y <= x (steady
+    kinds) or below the x-axis (Dyck kinds) is reported.  Every point has
+    x + y = 2 * (up steps so far), so y = 0 at the end also puts a steady
+    path's end at (2 * (up steps), 0).
 
-def nonzero_mark_blockers(steps: str, valleys) -> list[tuple[str, int] | None]:
-    """For each valley of path_valleys(steps), None when a valley-marked
-    steady path may give it a nonzero mark, else (rule, index) of the first
-    W step that forbids it: M2 when the valley lies above that W step's
-    start, M3 when it sits at the same height to its left."""
-    heights = path_heights(steps)
-    w_steps = [(i, heights[i]) for i, s in enumerate(steps) if s == "W"]
-    out = []
-    for u_idx, h in valleys:
-        blocker = None
-        for w_idx, wh in w_steps:
-            if h > wh or (h == wh and u_idx < w_idx):
-                blocker = ("M2" if h > wh else "M3", w_idx)
-                break
-        out.append(blocker)
-    return out
+    S1/S2: the up step of a UU or WU factor starts on the line y = x - t,
+    and no later point may fall below x - y = t.  The floor is the largest
+    such t among the factors no point has broken yet, and at least 0, so
+    that a point outside the cone falls below it too; only a point below
+    the floor looks back for the factors it breaks (_broken_factors).
 
-
-def _validate_path(path: LatticePath) -> list[Violation]:
+    M1-M3: a valley at height h takes a mark 0..h, and the first W step
+    that starts below h (M2), or at h to the valley's right (M3), forbids
+    a nonzero one.  So a nonzero-marked valley above the lowest W start so
+    far is blocked at once, and any other waits for the first later W step
+    starting at or below its height."""
     steps, marks, kind = path.steps, path.marks, path.kind
-    out = []
     if not steps:
-        out.append(Violation("length", 0, "empty step word"))
-        return out
-    pts = path_points(steps)
-    vals = path_valleys(steps)
-
-    if not kind.allows_w:
-        for i, s in enumerate(steps):
-            if s == "W":
-                out.append(Violation("no-w", i + 1, "W step in a Dyck-kind path"))
-        for i, (x, y) in enumerate(pts):
-            if y < 0:
-                out.append(Violation("below-axis", i, f"point ({x},{y}) below the x-axis"))
-                break
-        if pts[-1][1] != 0:
-            out.append(Violation("endpoint", len(steps), f"ends at {pts[-1]}, not on the x-axis"))
-    else:
-        for i, (x, y) in enumerate(pts):
-            if y < 0 or y > x:
-                out.append(Violation("cone", i, f"point ({x},{y}) outside the cone 0 <= y <= x"))
-                break
-        for i in range(len(steps) - 1):
-            if steps[i] == "W" and steps[i + 1] == "D":
-                out.append(Violation("factor-wd", i + 1, "forbidden WD factor"))
-            if steps[i] == "D" and steps[i + 1] == "W":
-                out.append(Violation("factor-dw", i + 1, "forbidden DW factor"))
-        n_up = steps.count("U")
-        if pts[-1] != (2 * n_up, 0):
-            out.append(
-                Violation("endpoint", len(steps), f"ends at {pts[-1]}, expected ({2 * n_up},0)")
-            )
-        out.extend(_s1_s2_violations(steps, pts))
-
-    if kind.marked:
-        for vi, ((_, h), m) in enumerate(zip(vals, marks), start=1):
-            if not 0 <= m <= h:
-                out.append(
-                    Violation("M1", vi, f"valley {vi} at height {h} has mark {m} outside 0..{h}")
-                )
-        if kind is PathKind.VMSTEADY:
-            for vi, ((_, h), m, blocker) in enumerate(zip(vals, marks, nonzero_mark_blockers(steps, vals)), start=1):
-                if m == 0 or blocker is None:
-                    continue
-                name, w_idx = blocker
-                if name == "M2":
-                    detail = (
-                        f"valley {vi} at height {h} with nontrivial mark lies above "
-                        f"the W step at index {w_idx + 1} (height {pts[w_idx][1]})"
-                    )
-                else:
-                    detail = (
-                        f"valley {vi} with nontrivial mark at height {h} sits left of "
-                        f"the W step at index {w_idx + 1} at the same height"
-                    )
-                out.append(Violation(name, vi, detail))
-    else:
+        yield Violation("length", 0, "empty step word")
+        return
+    marked, w_kind = kind.marked, kind.allows_w
+    if not marked and any(marks):
         for vi, m in enumerate(marks, start=1):
-            if m != 0:
-                out.append(Violation("zero-marks", vi, f"valley {vi} carries mark {m} != 0"))
-    return out
+            if m:
+                yield Violation("zero-marks", vi, f"valley {vi} carries mark {m} != 0")
+    x = y = floor = valley = ws = 0  # ws counts the W steps, so x + 2 * ws counts every step
+    outside = False  # whether the first point outside the cone or below the axis is reported
+    broken = set()  # indices of the UU/WU up steps that a point has broken
+    waiting = []  # (valley, height) of the nonzero-marked valleys no W step has blocked yet
+    lowest, top = inf, -inf  # the lowest W start so far, the highest waiting valley
+    prev = ""
+    for s in steps:
+        if s == "U":
+            if prev == "D":
+                if marked:
+                    m = marks[valley]
+                    valley += 1
+                    if not 0 <= m <= y:
+                        yield Violation("M1", valley, f"valley {valley} at height {y} has mark {m} outside 0..{y}")
+                    if m and w_kind:
+                        if lowest < y:  # blocked by the first W step starting below y
+                            for w, (_, h) in enumerate(path_points(steps)):
+                                if h < y and steps[w] == "W":
+                                    break
+                            yield _m2(valley, y, w, h)
+                        else:
+                            waiting.append((valley, y))
+                            if y > top:
+                                top = y
+            elif prev and x - y > floor:  # a UU or WU factor
+                floor = x - y
+            x += 1
+            y += 1
+        elif s == "D":
+            if prev == "W" and w_kind:
+                yield Violation("factor-wd", x + 2 * ws, "forbidden WD factor")
+            x += 1
+            y -= 1
+        else:
+            if not w_kind:
+                yield Violation("no-w", x + 2 * ws + 1, "W step in a Dyck-kind path")
+            else:
+                if prev == "D":
+                    yield Violation("factor-dw", x + 2 * ws, "forbidden DW factor")
+                if top >= y:
+                    below = []
+                    for v, h in waiting:
+                        if h > y:
+                            yield _m2(v, h, x + 2 * ws, y)
+                        elif h == y:
+                            yield Violation("M3", v, f"valley {v} with nontrivial mark at height {h} sits left of "
+                                            f"the W step at index {x + 2 * ws + 1} at the same height")
+                        else:
+                            below.append((v, h))
+                    waiting = below
+                    top = max((h for _, h in waiting), default=-inf)
+                if y < lowest:
+                    lowest = y
+            ws += 1
+            x -= 1
+            y += 1
+        if y < 0 or w_kind and x - y < floor:
+            if not outside and (y < 0 or y > x):  # a Dyck kind gets here only when y < 0
+                outside = True
+                yield (Violation("cone", x + 2 * ws, f"point ({x},{y}) outside the cone 0 <= y <= x") if w_kind
+                       else Violation("below-axis", x + 2 * ws, f"point ({x},{y}) below the x-axis"))
+            if w_kind and x - y < floor:
+                floor = yield from _broken_factors(steps, x + 2 * ws, broken)
+        prev = s
+    if y:
+        want = f"expected ({x + y},0)" if w_kind else "not on the x-axis"
+        yield Violation("endpoint", len(steps), f"ends at {(x, y)}, {want}")
+
+
+def _broken_factors(steps: str, end: int, broken: set[int]):
+    """Yield an S1/S2 violation for each UU/WU factor before point end that
+    this point is the first to break, adding its up step to broken, and
+    return the new floor: the largest t of the factors left, or 0."""
+    pts = path_points(steps)
+    x, y = pts[end]
+    floor = 0
+    for j in range(1, end):
+        if steps[j] == "U" and steps[j - 1] != "D" and j not in broken:
+            t = pts[j][0] - pts[j][1]
+            if t > x - y:
+                broken.add(j)
+                fx, fy = pts[j + 1]
+                yield Violation("S1" if steps[j - 1] == "U" else "S2", j + 1,
+                                f"{steps[j - 1]}U factor ending at ({fx},{fy}) is followed by "
+                                f"point ({x},{y}) above the line y = x - {t}")
+            elif t > floor:
+                floor = t
+    return floor
+
+
+def _m2(valley: int, h: int, w: int, wh: int) -> Violation:
+    return Violation("M2", valley, f"valley {valley} at height {h} with nontrivial mark lies above "
+                     f"the W step at index {w + 1} (height {wh})")
 
 
 def _parent_labels(t: OrderedTree):
     """The label of each vertex's parent in pre-order (-inf for the root),
     from a stack with one entry for every child still to come: the parent
     of the next vertex is always the last one pushed."""
-    above = [float("-inf")]
+    above = [-inf]
     for label, kids in zip(t.labels, t.arity):
         yield above.pop()
         above += [label] * kids
 
 
-def _validate_tree(t: OrderedTree) -> list[Violation]:
+def _tree_violations(t: OrderedTree):
+    """One pre-order pass: root 0, the labels 0..n, every child above its
+    parent, and the leaves increasing from left to right."""
     labels = t.labels
-    n = len(labels) - 1
-    out = []
     if labels[0] != 0:
-        out.append(Violation("root", 1, f"root labeled {labels[0]}, expected 0"))
-    if sorted(labels) != list(range(n + 1)):
-        out.append(Violation("labels", 0, f"labels {sorted(labels)} are not 0..{n}"))
-    leaves, leaf_order = [], []
-    for pos, (label, above, kids) in enumerate(zip(labels, _parent_labels(t), t.arity), start=1):
+        yield Violation("root", 1, f"root labeled {labels[0]}, expected 0")
+    ordered = sorted(labels)
+    if ordered != list(range(len(labels))):
+        yield Violation("labels", 0, f"labels {ordered} are not 0..{len(labels) - 1}")
+    pos, last_leaf = 0, -inf
+    for label, above, kids in zip(labels, _parent_labels(t), t.arity):
+        pos += 1
         if label <= above:
-            out.append(Violation("increasing", pos, f"child {label} does not exceed parent {above}"))
+            yield Violation("increasing", pos, f"child {label} does not exceed parent {above}")
         if not kids:
-            if leaves and label <= leaves[-1]:
-                detail = f"pre-order leaves ...{leaves[-1]},{label}... are not increasing"
-                leaf_order.append(Violation("increasing-leaves", len(leaves) + 1, detail))
-            leaves.append(label)
-    return out + leaf_order
+            if label <= last_leaf:  # reported at the leaf's place among the leaves
+                yield Violation("increasing-leaves", t.arity[:pos].count(0),
+                                f"pre-order leaves ...{last_leaf},{label}... are not increasing")
+            last_leaf = label
+
+
+def _violations(obj):
+    if isinstance(obj, InversionSequence):
+        return _invseq_violations(obj)
+    if isinstance(obj, Permutation):
+        return _perm_violations(obj)
+    if isinstance(obj, LatticePath):
+        return _path_violations(obj)
+    if isinstance(obj, OrderedTree):
+        return _tree_violations(obj)
+    raise TypeError(f"cannot validate {type(obj).__name__}")
 
 
 def validate(obj) -> ValidationReport:
     """Check every kind invariant of a domain object; report all violations."""
-    if isinstance(obj, InversionSequence):
-        violations = _validate_invseq(obj)
-    elif isinstance(obj, Permutation):
-        violations = _validate_perm(obj)
-    elif isinstance(obj, LatticePath):
-        violations = _validate_path(obj)
-    elif isinstance(obj, OrderedTree):
-        violations = _validate_tree(obj)
-    else:
-        raise TypeError(f"cannot validate {type(obj).__name__}")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def _path_ok(path: LatticePath) -> bool:
-    """One forward pass over the steps.  S1/S2 become a running floor on
-    x - y: the start of each UU or WU up step raises it to its own x - y,
-    which the up step keeps, and no later point may fall below it.  A W step
-    blocks a nonzero mark on a valley above its start, or at its height and
-    to its left; so each W is checked against the highest nonzero-marked
-    valley before it, and each such valley against the lowest W before it.
-    y = 0 at the end also puts the end at x = 2 * (up steps), since
-    x + y = 2 * (up steps) all along."""
-    steps, marks, kind = path.steps, path.marks, path.kind
-    if not steps or not kind.marked and any(marks):
-        return False
-    w_kind = kind.allows_w
-    x = y = floor = valley = 0
-    lowest_w = top_mark = None  # lowest W start so far; highest nonzero-marked valley so far
-    prev = ""
-    for s in steps:
-        if s == "U":
-            if prev == "D":
-                m = marks[valley]
-                valley += 1
-                if m:
-                    if not 0 < m <= y or lowest_w is not None and lowest_w < y:
-                        return False
-                    top_mark = y if top_mark is None else max(top_mark, y)
-            elif prev and x - y > floor:  # a UU or WU factor
-                floor = x - y
-            x += 1
-            y += 1
-        elif s == "D":
-            if prev == "W":
-                return False
-            x += 1
-            y -= 1
-        else:
-            if not w_kind or prev == "D" or top_mark is not None and top_mark >= y:
-                return False
-            lowest_w = y if lowest_w is None else min(lowest_w, y)
-            x -= 1
-            y += 1
-        if y < 0 or w_kind and x - y < floor:  # the floor is >= 0, so this keeps y <= x too
-            return False
-        prev = s
-    return y == 0
-
-
-def _tree_ok(t: OrderedTree) -> bool:
-    """One pre-order pass: root 0, every child above its parent, leaves
-    increasing, and the labels 0..n.  Labels 0..n are >= 0, so -1 can stand
-    for no leaf yet; any other labels fail the last test."""
-    last_leaf = -1
-    for label, above, kids in zip(t.labels, _parent_labels(t), t.arity):
-        if label <= above:
-            return False
-        if not kids:
-            if label <= last_leaf:
-                return False
-            last_leaf = label
-    return t.labels[0] == 0 and sorted(t.labels) == list(range(len(t.labels)))
+    violations = tuple(sorted(_violations(obj), key=lambda v: (_REPORT_RANK[v.invariant], v.position)))
+    return ValidationReport(ok=not violations, violations=violations)
 
 
 def is_valid(obj) -> bool:
-    """Exactly validate(obj).ok, from one pass that builds no report."""
-    if isinstance(obj, InversionSequence):
-        return bool(obj.entries) and all(0 <= v < i for i, v in enumerate(obj.entries, start=1))
-    if isinstance(obj, Permutation):
-        return bool(obj.values) and sorted(obj.values) == list(range(1, len(obj.values) + 1))
-    if isinstance(obj, LatticePath):
-        return _path_ok(obj)
-    if isinstance(obj, OrderedTree):
-        return _tree_ok(obj)
-    raise TypeError(f"cannot validate {type(obj).__name__}")
+    """Exactly validate(obj).ok: the same rules, stopped at the first
+    violation, so no report is collected or sorted."""
+    return next(_violations(obj), None) is None
 
 
 def require_valid(obj, what: str, cls=object) -> None:
@@ -654,7 +618,7 @@ def parse_tree_text(text: str) -> OrderedTree:
                 pos += 1
                 continue
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in "0123456789":
                 pos += 1
             if pos == start:
                 raise ParseError(f"expected a label, got {text[pos]!r}", position=pos + 1)
@@ -705,7 +669,7 @@ def text_size(text: str, kind: str) -> int:
     if kind in ("invseq", "invtable", "perm"):
         return text.count(",") + 1
     if kind == "tree":
-        return max(len(re.findall(r"\d+", text)) - 1, 0)
+        return max(len(re.findall(r"[0-9]+", text)) - 1, 0)
     return text.partition(";")[0].count("U")
 
 

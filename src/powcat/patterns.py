@@ -707,13 +707,13 @@ def _marks(n, shared, events):
     other events share it too.
 
     A valley at height h takes a mark 0..h unless a W step blocks a nonzero
-    one (objects.nonzero_mark_blockers): one whose start lies below h, or at
-    h and to the valley's right.  Let M be the lowest W start (n when there
-    is no W step, above every valley).  The W steps starting at M are the
-    lowest steps of the W runs whose lowest start is M, since every step of
-    another run starts higher.  So a valley is free when h < M, or when
-    h == M and it comes after the last W run starting at M; any other valley
-    takes 0 alone.  A Dyck word has no W step, so all its valleys are free."""
+    one (the M2/M3 rule of objects._path_violations): one whose start lies
+    below h, or at h and to the valley's right.  Let M be the lowest W start
+    (n when there is no W step, above every valley).  The W steps starting
+    at M are the lowest steps of the W runs whose lowest start is M, since
+    every step of another run starts higher.  So a valley is free when
+    h < M, or when h == M and it comes after the last W run starting at M;
+    any other valley takes 0 alone.  A Dyck word has no W step, so all its valleys are free."""
     low = min((~e for e in events if e < 0), default=n)
     ranges, w_at_low = [], False  # whether a W run starting at M lies to the right
     for e in reversed(events):
@@ -751,11 +751,11 @@ def vmdyck_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
 @lru_cache(maxsize=None)
 def vmsteady_paths_raw(n) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Steady words, in the order of steady_words, each with every choice of
-    marks that objects.nonzero_mark_blockers allows: a blocked valley keeps
-    mark 0, a free one at height h takes 0..h.  The walk reads the valleys
-    and the lowest start of each W run off the code (_code_event); with
-    M the lowest W start, a valley is free when below M, or at M after the
-    last W run starting at M (_marks, which says why)."""
+    marks that the M2/M3 rule of objects._path_violations allows: a blocked
+    valley keeps mark 0, a free one at height h takes 0..h.  The walk reads
+    the valleys and the lowest start of each W run off the code
+    (_code_event); with M the lowest W start, a valley is free when below
+    M, or at M after the last W run starting at M (_marks, which says why)."""
     return tuple(_steady_walk(n, True, True)) if n else (("", ()),)
 
 

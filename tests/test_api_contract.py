@@ -96,6 +96,11 @@ CASES = [
     ("SuccessionRule", ("x", (1, -1), tuple), ValueError),
     ("SuccessionRule", ("x", (1,), None), TypeError),
     ("SuccessionRule", (5, (1,), tuple), TypeError),
+    # int() would truncate 0.5 to 0, and a label must be an int
+    ("InversionSequence", ((0, 0.5),), ValueError),
+    ("Permutation", ((1, 0.5),), ValueError),
+    ("LatticePath", ("UDUD", (0.5,), "vmdyck"), ValueError),
+    ("OrderedTree", ("a",), TypeError),
 ]
 
 

@@ -263,6 +263,13 @@ def test_empty_tree_input_is_worded_by_the_parser(capsys):
     assert capsys.readouterr().err == "error: expected one root, found 0 (at position 1)\n"
 
 
+def test_non_ascii_digits_in_tree_input_exit_2_with_one_line(capsys):
+    # str.isdigit accepts both, and int() would reject the first and read the second as 3
+    for text in ("0(\u00b2)", "0(\u0663)"):
+        assert run(["grow", "--family", "pcat:tree", "--input", text]) == (2, "")
+        assert capsys.readouterr().err == f"error: expected a label, got {text[2]!r} (at position 3)\n"
+
+
 def test_conjecture_size_is_bounded():
     for n in ("0", "11"):
         code, out = run(["conjecture", "--n", n])

@@ -4,8 +4,10 @@ The steady-path conditions get an independently written brute-force oracle
 (_steady_ok below, a literal transcription of the definition with quadratic
 scans) and validate() must agree with it on every U/D/W word up to length 9.
 is_valid() must return exactly validate().ok, exhaustively over the same
-words for all four kinds and over every small integer tuple.
+words for all four kinds and over every small integer tuple, and on those
+inputs and on small trees every whole report is pinned by SHA-256.
 """
+import hashlib
 import sys
 from itertools import product
 
@@ -183,6 +185,20 @@ def _markings(steps):
     return [zero, tuple(heights), out_of_range]
 
 
+def _disagreements_and_digest(objs):
+    """The objects whose is_valid is not validate().ok, and the SHA-256 of
+    their reports, one line each in order: each violation's invariant,
+    position and detail."""
+    disagree, digest = [], hashlib.sha256()
+    for i, obj in enumerate(objs):
+        report = validate(obj)
+        if is_valid(obj) != report.ok:
+            disagree.append(obj)
+        line = repr([(v.invariant, v.position, v.detail) for v in report.violations])
+        digest.update(("\n" * (i > 0) + line).encode())
+    return disagree, digest.hexdigest()
+
+
 def test_is_valid_is_validate_ok_on_every_path_word():
     paths = [
         LatticePath(steps, marks, kind)
@@ -192,7 +208,9 @@ def test_is_valid_is_validate_ok_on_every_path_word():
         for marks in (markings if kind.marked else markings[:2])
     ]
     assert len(paths) > 200_000
-    assert [p for p in paths if is_valid(p) != validate(p).ok] == []
+    assert _disagreements_and_digest(paths) == (
+        [], "1c60b3092a622c304ef4737aa16a3185ba52e4a9e4d90983282ba4c51b310a3a"
+    )
 
 
 def test_is_valid_is_validate_ok_on_every_small_integer_tuple():
@@ -202,7 +220,9 @@ def test_is_valid_is_validate_ok_on_every_small_integer_tuple():
         for values in product(range(-1, n + 1), repeat=n)
         for make in (InversionSequence, Permutation)
     ]
-    assert [o for o in objs if is_valid(o) != validate(o).ok] == []
+    assert _disagreements_and_digest(objs) == (
+        [], "f1d3bd79d4e88fec665a6169a1da77d2a7963f966ce4219482a9e224cbafddb8"
+    )
 
 
 def _tree_variants(t):
@@ -219,14 +239,11 @@ def _tree_variants(t):
 
 
 def test_is_valid_is_validate_ok_on_trees_and_their_non_members():
-    seen_invalid = 0
-    for n in range(0, 6):
-        for t in increasing_ordered_trees(n):
-            for variant in _tree_variants(t):
-                ok = is_valid(variant)
-                assert ok == validate(variant).ok, to_text(variant)
-                seen_invalid += not ok
-    assert seen_invalid > 1000
+    trees = [variant for n in range(0, 6) for t in increasing_ordered_trees(n) for variant in _tree_variants(t)]
+    disagree, digest = _disagreements_and_digest(trees)
+    assert list(map(to_text, disagree)) == []
+    assert sum(not is_valid(t) for t in trees) > 1000
+    assert digest == "117f70a1caca59c31eba0998a43099efdbe4af8c3a0b5455c078a2a871145508"
 
 
 def test_is_valid_walks_deep_trees_without_recursion():

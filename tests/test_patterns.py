@@ -13,7 +13,7 @@ from powcat.objects import (
     PathKind,
     Permutation,
     make_path,
-    nonzero_mark_blockers,
+    path_heights,
     path_valleys,
     steady_word,
     to_text,
@@ -491,6 +491,24 @@ def test_dyck_words_are_the_steady_words_of_the_weakly_increasing_codes():
     for n in range(1, 9):
         codes = (d for d in product(*(range(m) for m in range(1, n + 1))) if list(d) == sorted(d))
         assert list(dyck_words(n)) == [steady_word(d) for d in codes], n
+
+
+def nonzero_mark_blockers(steps: str, valleys) -> list[tuple[str, int] | None]:
+    """For each valley of path_valleys(steps), None when a valley-marked
+    steady path may give it a nonzero mark, else (rule, index) of the first
+    W step that forbids it: M2 when the valley lies above that W step's
+    start, M3 when it sits at the same height to its left."""
+    heights = path_heights(steps)
+    w_steps = [(i, heights[i]) for i, s in enumerate(steps) if s == "W"]
+    out = []
+    for u_idx, h in valleys:
+        blocker = None
+        for w_idx, wh in w_steps:
+            if h > wh or (h == wh and u_idx < w_idx):
+                blocker = ("M2" if h > wh else "M3", w_idx)
+                break
+        out.append(blocker)
+    return out
 
 
 def marked_by_text(words, steady):
