@@ -24,6 +24,7 @@ from enum import Enum
 from itertools import accumulate, chain, count
 from math import inf
 from operator import sub
+from typing import NamedTuple
 
 from .errors import MembershipError, ParseError, UnknownNameError
 
@@ -196,8 +197,7 @@ class PathStatistics:
     edge_line_offset: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     invariant: str
     position: int  # 1-based entry/step index, 0 when global
     detail: str
@@ -583,13 +583,12 @@ def require_valid(obj, what: str, cls=object) -> None:
 def _parse_int_list(text: str) -> tuple[int, ...]:
     if text.strip() == "":
         raise ParseError("empty integer list", position=1)
-    parts = text.split(",")
     out = []
-    for i, part in enumerate(parts, start=1):
-        try:
-            out.append(int(part.strip()))
-        except ValueError:
-            raise ParseError(f"bad integer {part.strip()!r}", position=i) from None
+    for i, part in enumerate(text.split(","), start=1):
+        part = part.strip()
+        if not re.fullmatch("-?[0-9]+", part):  # int() also takes "+0", "0_0" and non-ASCII digits
+            raise ParseError(f"bad integer {part!r}", position=i)
+        out.append(int(part))
     return tuple(out)
 
 

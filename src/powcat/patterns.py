@@ -9,45 +9,41 @@ positions.  The two subsequence languages share one cached search plan
 interval [bounds[lo], bounds[hi]) set by the values of entries 0..i-1,
 each of which writes v and v + 1 into its two slots of bounds.
 
-Enumerators prune on prefixes: removing the last entry of an inversion
+Each enumerator is a generating tree: a root state and one child step
+step(m, state) -> [(piece, state')] per kind.  One depth-first search
+(_walk) lists every kind: it joins the pieces into each prefix and hands
+each node of size n - 1 to a last step that builds its children.
+count_class lists nothing: where a state decides every completion (an ECO
+label), one sum over states (_sum) steps each (m, state) once, as a
+succession rule counts by labels.  Removing the last entry of an inversion
 sequence (or the last point of a permutation, up to standardization) never
-creates a pattern occurrence, so any prefix containing a pattern is dead.
-Each enumerator judges a candidate without building, rescanning or
-validating it, and each test is exact:
+creates a pattern occurrence, so each step prunes on prefixes and judges a
+child without building, rescanning or validating it, by an exact test:
 
-- inversion sequences: bitmasks of the values placed and of the values
-  that would complete an occurrence of a relation triple or a 3-letter
-  word; both are sets of order types of value triples (_order_types), so
-  one ban table serves both, and a candidate is rejected exactly when it
-  ends an occurrence;
+- inversion sequences avoiding relation triples or 3-letter words:
+  bitmasks of the values placed and of the values that would complete an
+  occurrence; both are sets of order types of value triples
+  (_order_types), so one ban table serves both;
 - inversion sequences avoiding words of other lengths, and permutations:
-  one search per parent along the plan (_completing), over the
+  one search per parent along the plan (_completion_mask), over the
   occurrences of each pattern less its last entry, gives the mask of the
-  appended values that would complete an occurrence; only the other
-  children are built;
-- steady and Dyck words: the least diagonal distance the S1/S2
-  conditions of the up steps so far allow for the next one, which for a
-  Dyck word, whose code never falls, is that of the last one; the marked
-  listings run the same walk, which reads each valley's height and each
-  W run's lowest start off the code (_code_event), and give each word the
-  one tuple of mark choices shared by every word with the same of these
-  events (_marks);
+  appended values that would complete one; the whole prefix is then the
+  state, so these classes count through _walk;
+- steady and Dyck words: the last code value and the least next one that
+  the S1/S2 conditions allow; the marked listings read each valley's
+  height and each W run's lowest start off the code (_code_event) and give
+  each word the one tuple of mark choices shared by every word with the
+  same events (_marks), and the marked counts weigh each valley by its
+  marks;
 - increasing-leaves trees: vertices n, .., 1 go under the root in turn,
-  and the class is closed under deleting vertex 1, so every partial tree
-  is a member.
+  the class is closed under deleting vertex 1, and the number of root
+  children decides where the next one may go.
 
 The last two keep exactly the prefixes that can be completed, so their
 searches have no dead ends.  The docstrings give each condition and why it
 holds.  Streams are reproducible: each raw listing comes in its walk's
 fixed order, and enumerate_class returns canonical text order, sorting
-where the walk's order is not already that.  Each listing search stops at
-size n - 1, where a last step builds the children.
-count_class lists nothing: where a walk's state decides every completion
-(the two masks; a steady code's last value and floor; a tree's number of
-root children), it sums over states through the listing's child step,
-each state once, as a succession rule counts by labels; permutations and
-words of other lengths, whose completion masks read the whole prefix,
-count the children of each member of size n - 1.
+where the walk's order is not already that.
 
 The single-object oracles share the enumerators' state: avoids_triple
 carries the same two bitmasks over the same ban table in one left-to-right
@@ -60,7 +56,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import product, repeat
 from math import inf
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import MembershipError, ParseError, check_size
 from .objects import (
@@ -73,6 +69,9 @@ from .objects import (
     require_valid,
     to_text,
 )
+
+# The letters of a pattern: str.isdecimal() would also pass non-ASCII digits to int().
+_DIGITS = frozenset("0123456789")
 
 # The signs of a - b for which each relation a r b holds.
 RELATIONS = {
@@ -113,7 +112,7 @@ class WordPattern:
     def parse(cls, text: str) -> "WordPattern":
         text = text.strip()
         for i, c in enumerate(text):
-            if not c.isdecimal():
+            if c not in _DIGITS:
                 raise ParseError(f"bad word letter {c!r} in {text!r}", position=i + 1)
         return cls(tuple(int(c) for c in text))
 
@@ -149,7 +148,7 @@ class VincularPattern:
             if not g:
                 raise ParseError(f"empty dash group in {text!r}")
             for j, c in enumerate(g):
-                if not c.isdecimal():
+                if c not in _DIGITS:
                     raise ParseError(f"bad pattern letter {c!r} in {text!r}")
                 perm.append(int(c))
                 if j > 0:
@@ -171,7 +170,7 @@ class VincularPattern:
 def avoids_triple(e, triple: RelationTriple) -> bool:
     """True when no i<j<k has e_i r1 e_j, e_j r2 e_k, e_i r3 e_k.
 
-    The state of _invseq_walk read left to right: ``seen``, the values
+    The state of _invseq_step read left to right: ``seen``, the values
     so far, and ``banned``, the values that would end an occurrence.  The
     relations see only order and equality, so any integer tuple is first
     moved onto values 0..n-1 of the same order and equality."""
@@ -424,6 +423,22 @@ def _completing(cur, plan, bounds, idx, start) -> int:
     return mask
 
 
+def _completion_mask(patterns, n):
+    """For prefixes of values 0..n: a function of a prefix cur that gives the
+    bitmask of the values whose appending to cur completes an occurrence of
+    one of the patterns (WordPatterns or VincularPatterns), one search per
+    pattern along its plan (_completing)."""
+    searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, patterns)]
+
+    def mask(cur):
+        bad = 0
+        for plan, bounds in searches:
+            bad |= _completing(cur, plan, bounds, 0, 0)
+        return bad
+
+    return mask
+
+
 def _order_type(a, b, c):
     """The signs of a - b, b - c and a - c."""
     return (a > b) - (a < b), (b > c) - (b < c), (a > c) - (a < c)
@@ -446,21 +461,56 @@ def _ban_table(types, n):
 
 
 # -- enumerators ----------------------------------------------------------------
-# Each exhaustive enumerator walks the members of size n - 1 (for n >= 1;
-# size 0 is its own case), each carrying a small state, and grows a member
-# through a child step that gives each child's state.  The listing form
-# hands each member of size n - 1 to a last step that builds its children.
-# Where the state alone decides every completion of a member, the counting
-# form is a recursion on the state through the same child step, memoized
-# within the one call, so members that share a state are counted once (the
-# labels of a generating tree, as in gentree.label_distribution).  Both
-# forms are cached.
+# A kind's child step gives each child of a node at depth m, in listing order,
+# as the piece it appends and its own state.  Sizes n >= 1 walk to depth
+# n - 1 (_walk, _sum; see the module docstring), and size 0 is its own case.
+# Each class's listing and count are cached; a sum's memo lives for one call.
 
 
-def _invseq_children(triples, words, n):
-    """The child step of _invseq_walk for sequences of length n: a function
-    of (m, seen, banned) of a prefix of length m < n - 1 that gives the
-    (v, seen', banned') of each allowed next entry v, in increasing v.
+def _walk(step, depth, last, acc, prefix, state, join):
+    """acc plus last(prefix', state') over the nodes at the given depth below
+    the root (prefix, state), in depth-first order of step, where a child's
+    prefix is join(prefix, piece); acc is a list for a listing and an int
+    for a count."""
+
+    def visit(m, prefix, state):
+        nonlocal acc
+        if m == depth:
+            acc += last(prefix, state)
+            return
+        for piece, child in step(m, state):
+            visit(m + 1, join(prefix, piece), child)
+
+    visit(0, prefix, state)
+    return acc
+
+
+def _sum(step, depth, last, state):
+    """The sum of last(state') over the nodes at the given depth below the
+    root state, for a step that reads only the state: each (m, state) is
+    stepped and summed once."""
+
+    @cache
+    def total(m, state):
+        if m == depth:
+            return last(state)
+        c = 0
+        for _, child in step(m, state):
+            c += total(m + 1, child)
+        return c
+
+    return total(0, state)
+
+
+def _piece(_, piece):
+    """The join of a walk whose pieces are whole prefixes."""
+    return piece
+
+
+def _invseq_step(triples, words, n):
+    """The child step, root state and join of inversion sequences of length
+    n: from the state (seen, banned) of a prefix of length m < n - 1, the
+    piece (v,) and the state of each allowed next entry v, in increasing v.
 
     Whether a relation triple or a 3-letter word occurs at positions
     i < j < k depends only on the values (e_i, e_j, e_k).  So each prefix
@@ -468,8 +518,16 @@ def _invseq_children(triples, words, n):
     the values c such that some (e_i, e_j, c) with i < j is an occurrence.
     A next entry v completes an occurrence exactly when v is banned, and
     placing v bans every c with (a, v, c) an occurrence for some a in seen.
-    The children of a state are worked out once per call."""
+    Many prefixes share a state, so the listing works out the children of a
+    state once per call (the sum steps each state once).  A word of any
+    other length is searched for along the whole prefix (_completion_mask),
+    which no mask records: then the state is (seen, banned, prefix), banned
+    also holds the values that would complete such a word, no two prefixes
+    share a state, and the piece is the whole prefix (_piece), as for
+    permutations.  The root's banned is the mask of the empty prefix, which
+    a 1-letter word fills."""
     bans = _ban_table(_order_types(triples, [w.word for w in words if len(w.word) == 3]), n)
+    longer = [w for w in words if len(w.word) != 3]
 
     @cache
     def banned_by(v, seen):
@@ -480,98 +538,57 @@ def _invseq_children(triples, words, n):
                 add |= bans[a][v]
         return add
 
-    @cache
-    def children(m, seen, banned):
-        return [(v, seen | 1 << v, banned | banned_by(v, seen)) for v in range(m + 1) if not banned >> v & 1]
+    def step(m, state):
+        seen, banned = state
+        return [((v,), (seen | 1 << v, banned | banned_by(v, seen))) for v in range(m + 1) if not banned >> v & 1]
 
-    return children
+    if not longer:
+        return step, (0, 0), add
+    completing = _completion_mask(longer, n)
 
+    def step_longer(m, state):
+        seen, banned, prefix = state
+        return [(grown, (seen, banned | completing(grown), grown))
+                for piece, (seen, banned) in step(m, (seen, banned)) for grown in (prefix + piece,)]
 
-def _invseq_walk(triples, words, n, last, acc):
-    """acc plus last(prefix, banned) over the members prefix of length n - 1,
-    in lexicographic order, where banned is the mask of the values whose
-    appending would complete an occurrence of a listed pattern, grown
-    through _invseq_children.  For a word of any other length, one search
-    per prefix over the occurrences of the word less its last letter
-    (_completing, as in _perm_walk) adds the values that would complete one
-    to banned."""
-    children = _invseq_children(triples, words, n)
-    searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, words) if len(plan) != 3]
-
-    def extend(prefix, seen, banned):
-        nonlocal acc
-        m = len(prefix)
-        for plan, bounds in searches:
-            banned |= _completing(prefix, plan, bounds, 0, 0)
-        if m + 1 == n:
-            acc += last(prefix, banned)
-            return
-        for v, seen_v, banned_v in children(m, seen, banned):
-            extend(prefix + (v,), seen_v, banned_v)
-
-    extend((), 0, 0)
-    return acc
+    return step_longer, (0, completing(()), ()), _piece
 
 
 @lru_cache(maxsize=None)
 def invseq_class_raw(triples, words, n) -> tuple[tuple[int, ...], ...]:
     """All inversion sequences of length n avoiding every listed pattern, in
-    lexicographic order: each member of length n - 1 (_invseq_walk) extended
-    by each value 0..n-1 that is not banned."""
+    lexicographic order: each member of length n - 1 (_walk, _invseq_step)
+    extended by each value 0..n-1 that is not banned."""
     if not n:
         return ((),)
+    step, root, join = _invseq_step(triples, words, n)
+    if all(len(w.word) == 3 for w in words):
+        step = cache(step)
     ends = cache(lambda banned: [(v,) for v in range(n) if not banned >> v & 1])  # few distinct masks
-    return tuple(_invseq_walk(triples, words, n, lambda prefix, banned: map(prefix.__add__, ends(banned)), []))
+    return tuple(_walk(step, n - 1, lambda prefix, state: map(prefix.__add__, ends(state[1])), [], (), root, join))
 
 
 @lru_cache(maxsize=None)
 def _invseq_count(triples, words, n) -> int:
-    """len(invseq_class_raw(triples, words, n)).  A prefix of length n - 1
-    has the popcount of its allowed values 0..n-1 as children.
-
-    For relation triples and 3-letter words, the completions of a prefix
-    depend only on its state (m, seen, banned), so this sums over states
-    through _invseq_children, each counted once.  A word of another length
-    is searched for along the whole prefix (_completing), which no such
-    state records, so those classes walk every prefix (_invseq_walk)."""
+    """len(invseq_class_raw(triples, words, n)): the popcount of the allowed
+    values 0..n-1 of each prefix of length n - 1, summed over states (_sum)
+    unless a word of another length keeps the prefix in the state (_walk)."""
     if not n:
         return 1
     values = (1 << n) - 1  # the values 0..n-1 an n-th entry may take
-    if any(len(w.word) != 3 for w in words):
-        return _invseq_walk(triples, words, n, lambda prefix, banned: (values & ~banned).bit_count(), 0)
-    children = _invseq_children(triples, words, n)
-
-    @cache
-    def count(m, seen, banned):
-        if m + 1 == n:
-            return (values & ~banned).bit_count()
-        return sum(count(m + 1, s, b) for _, s, b in children(m, seen, banned))
-
-    return count(0, 0, 0)
+    step, root, join = _invseq_step(triples, words, n)
+    if all(len(w.word) == 3 for w in words):
+        return _sum(step, n - 1, lambda state: (values & ~state[1]).bit_count(), root)
+    return _walk(step, n - 1, lambda _, state: (values & ~state[1]).bit_count(), 0, (), root, join)
 
 
-def _perm_children(n):
-    """The child step of _perm_walk, for one walk over sizes up to n: a
-    function of a permutation cur of 1..m and a mask bad that gives the
-    children cur' + (a,) for the ranks a = 1..m+1 outside bad, where cur'
-    adds 1 to the values >= a.  Row a of the walk's rank table holds
-    v + (v >= a) at each v <= n and then a itself, so one itemgetter per
-    parent reads each child off its row.  The table is sized by n, not by
-    SIZE_LIMITS, since the limit= argument of the class functions lets n
-    pass them."""
-    rows = [tuple(v + (v >= a) for v in range(n + 1)) + (a,) for a in range(n + 1)]
-
-    def children(cur, bad):
-        get = itemgetter(*cur, n + 1) if cur else itemgetter(slice(n + 1, None))  # the child (a,) of ()
-        return [get(rows[a]) for a in range(1, len(cur) + 2) if not bad >> a & 1]
-
-    return children
-
-
-def _perm_walk(patterns, n, children, last, acc):
-    """acc plus last(cur, bad) over the members cur of size n - 1 (n >= 1),
-    grown level by level through children (_perm_children), where bad is
-    the mask of the ranks whose appending would complete an occurrence.
+def _perm_step(patterns, n):
+    """The child step of permutations, for one walk over sizes up to n, the
+    last step that builds the children alone, and the mask of the ranks
+    that would complete an occurrence, which both read: from a permutation
+    cur of 1..m, which is its own state, each child cur' + (a,) for the
+    ranks a = 1..m+1 that complete no occurrence, where cur' adds 1 to the
+    values >= a; the child is both piece and state.
 
     Deleting the last entry of a permutation and standardizing never makes
     an occurrence, so a child of a member contains a pattern only through
@@ -585,37 +602,50 @@ def _perm_walk(patterns, n, children, last, acc):
     pattern entry lies below entry k (0 if none) and U the smallest whose
     pattern entry lies above it (beyond m+1 if none), the interval
     _search_plan gives a permutation entry.  One search per parent over
-    these occurrences (_completing) gives the mask of the ranks that would
-    complete an occurrence, and only the other children are built.  The
-    search starts from the empty permutation, whose child (1,) goes through
-    the same mask (k = 1 gives the empty occurrence and every rank).
-    """
-    searches = [(plan, [0, n + 2] * (len(plan) + 1)) for plan in map(_search_plan, patterns)]
-    level = [()]
-    for m in range(n):
-        step, grown = (last, acc) if m + 1 == n else (children, [])
-        for cur in level:
-            bad = 0
-            for plan, bounds in searches:
-                bad |= _completing(cur, plan, bounds, 0, 0)
-            grown += step(cur, bad)
-        level = grown
-    return level
+    these occurrences (_completion_mask) gives the mask of the ranks that
+    would complete an occurrence, and only the other children are built.
+    The walk starts from the empty permutation, whose child (1,) goes
+    through the same mask (k = 1 gives the empty occurrence and every rank).
+
+    Row a of the rank table holds v + (v >= a) at each v <= n and then a
+    itself, so one itemgetter per parent reads each child off its row.  The
+    table is sized by n, not by SIZE_LIMITS, since the limit= argument of
+    the class functions lets n pass them."""
+    rows = [tuple(v + (v >= a) for v in range(n + 1)) + (a,) for a in range(n + 1)]
+    completing = _completion_mask(patterns, n)
+
+    def children(_, cur):
+        bad = completing(cur)
+        get = itemgetter(*cur, n + 1) if cur else itemgetter(slice(n + 1, None))  # the child (a,) of ()
+        return [get(rows[a]) for a in range(1, len(cur) + 2) if not bad >> a & 1]
+
+    def step(m, cur):
+        kids = children(m, cur)
+        return zip(kids, kids)
+
+    return step, children, completing
 
 
 @lru_cache(maxsize=None)
 def perm_class_raw(patterns, n) -> tuple[tuple[int, ...], ...]:
     """All permutations of 1..n avoiding every listed vincular pattern, grown
-    by appending a rank (_perm_walk, _perm_children)."""
-    children = _perm_children(n)
-    return tuple(_perm_walk(patterns, n, children, children, [])) if n else ((),)
+    by appending a rank (_walk, _perm_step), in lexicographic order of the
+    ranks appended."""
+    if not n:
+        return ((),)
+    step, children, _ = _perm_step(patterns, n)
+    return tuple(_walk(step, n - 1, children, [], (), (), _piece))
 
 
 @lru_cache(maxsize=None)
 def _perm_count(patterns, n) -> int:
-    """len(perm_class_raw(patterns, n)), by the same walk."""
-    allowed = lambda cur, bad: (((1 << len(cur) + 2) - 2) & ~bad).bit_count()  # the ranks 1..m+1 outside bad
-    return _perm_walk(patterns, n, _perm_children(n), allowed, 0) if n else 1
+    """len(perm_class_raw(patterns, n)), by the same walk: each member of
+    size n - 1 adds the number of ranks outside its mask."""
+    if not n:
+        return 1
+    step, _, completing = _perm_step(patterns, n)
+    allowed = lambda _, cur: (((1 << len(cur) + 2) - 2) & ~completing(cur)).bit_count()  # the ranks 1..n
+    return _walk(step, n - 1, allowed, 0, (), (), _piece)
 
 
 def _steady_walk(n, allows_w, marked):
@@ -639,52 +669,47 @@ def _steady_walk(n, allows_w, marked):
     empties the range 0..k-1, so every prefix it keeps can be completed;
     the word is built as the d_k are chosen.  A Dyck word is a steady word
     without W, whose code never falls, so there the floor is always
-    d_{k-1}, which also meets S1/S2 (_steady_children).
+    d_{k-1}, which also meets S1/S2 (_steady_step).
     """
-    # steps[p][d]: from an up step with d_k = p through the next, with d_{k+1} = d
-    steps = [["D" * (d - p) + "W" * (p - d) + "U" for d in range(n)] for p in range(n)]
-    ends = [[row[d] + "D" * (n - d) for d in range(n)] for row in steps]
-    children = _steady_children(allows_w)
-    out = []
-
-    def extend(word, k, d_prev, floor):
-        if k + 1 == n:
-            out.extend([word + end for end in ends[d_prev][floor:]])
-            return
-        row = steps[d_prev]
-        for d, floor_d in children(k, d_prev, floor):
-            extend(word + row[d], k + 1, d, floor_d)
-
+    ends = [[_between(n - 1, p, d) + "D" * (n - d) for d in range(n)] for p in range(n)]
     if not marked:
-        extend("", 0, 0, 0)
-        return out
+        last = lambda word, state: [word + end for end in ends[state[0]][state[1]:]]
+        return _walk(cache(_steady_step(allows_w, _between)), n - 1, last, [], "", (0, 0), add)
     marks = cache(partial(_marks, n, {}))  # one tuple of mark choices per event signature
 
-    def extend_marked(word, events, k, d_prev, floor):
-        if k + 1 == n:
-            for d, end in enumerate(ends[d_prev][floor:], floor):
-                out.extend(zip(repeat(word + end), marks(events + _code_event(k, d_prev, d))))
-            return
-        row = steps[d_prev]
-        for d, floor_d in children(k, d_prev, floor):
-            extend_marked(word + row[d], events + _code_event(k, d_prev, d), k + 1, d, floor_d)
+    def last(prefix, state):
+        (word, events), (d_prev, floor) = prefix, state
+        out = []
+        for d, end in enumerate(ends[d_prev][floor:], floor):
+            out.extend(zip(repeat(word + end), marks(events + _code_event(n - 1, d_prev, d))))
+        return out
 
-    extend_marked("", (), 0, 0, 0)
-    return out
+    step = cache(_steady_step(allows_w, lambda k, p, d: (_between(k, p, d), _code_event(k, p, d))))
+    join = lambda prefix, piece: (prefix[0] + piece[0], prefix[1] + piece[1])  # (word, events)
+    return _walk(step, n - 1, last, [], ("", ()), (0, 0), join)
 
 
-def _steady_children(allows_w):
-    """The child step of _steady_walk, for one walk: a function of
-    (k, d_k, floor) after k up steps that gives (d, floor') for each allowed
-    d_{k+1} = d, in increasing d.  A fall (d < d_k, W steps) or a stay makes
-    a UU or WU factor, which raises the floor to d; a rise (D steps, a
-    valley) keeps it, and a Dyck word never falls."""
+def _between(k, d_prev, d):
+    """The steps after up step k through up step k + 1, when d_k = d_prev
+    and d_{k+1} = d."""
+    return "D" * (d - d_prev) + "W" * (d_prev - d) + "U"
 
-    @cache
-    def children(k, d_prev, floor):
-        return [(d, floor if allows_w and d > d_prev else d) for d in range(floor, k + 1)]
 
-    return children
+def _steady_step(allows_w, piece):
+    """The child step of _steady_walk, for one walk: from the state
+    (d_k, floor) after k up steps, the piece piece(k, d_k, d) and the state
+    (d, floor') of each allowed d_{k+1} = d, in increasing d.  A fall
+    (d < d_k, W steps) or a stay makes a UU or WU factor, which raises the
+    floor to d; a rise (D steps, a valley) keeps it, and a Dyck word never
+    falls.  The listings take the steps between the up steps (_between) as
+    pieces, with their events (_code_event) when marked; the counts take
+    the events."""
+
+    def step(k, state):
+        d_prev, floor = state
+        return [(piece(k, d_prev, d), (d, floor if allows_w and d > d_prev else d)) for d in range(floor, k + 1)]
+
+    return step
 
 
 def _code_event(k, d_prev, d):
@@ -767,91 +792,85 @@ def _path_raw(kind: PathKind, n):
 
 @lru_cache(maxsize=None)
 def _path_count(kind: PathKind, n) -> int:
-    """len(_path_raw(kind, n)), by a recursion on the state (k, d_k, floor)
-    of _steady_walk through its child step (_steady_children), which
-    decides every completion, each state counted once.
-
-    The code rule (_code_event) gives each valley's height and each W run's
-    lowest start.  An unmarked path counts 1 per code, and a marked Dyck
-    path h + 1 marks per valley at height h.  In a marked steady path with
-    lowest W start M, a valley below M is free, one above M is blocked, and
-    one at height M is free only after the last W run starting at M
-    (_marks).  So a marked steady count sums over M: no W (M = n, every
-    valley free), or M = 0..n-1, where the state also carries whether the
-    rest of the path must still hold a W run starting at M; a W run that
-    starts at M leaves either answer."""
-    marked, allows_w = kind.marked, kind.allows_w
-    children = _steady_children(allows_w)
+    """len(_path_raw(kind, n)).  The state (d_k, floor) of _steady_walk
+    decides every completion, so unmarked paths, one per code, are counted
+    by a sum over states (_sum).  The marked counts read each child's event
+    (_code_event) off _steady_step: a marked Dyck path has h + 1 marks per
+    valley at height h.  In a marked steady path with lowest W start M, a
+    valley below M is free, one above M is blocked, and one at height M is
+    free only after the last W run starting at M (_marks).  So a marked
+    count is a weighted recursion on the state with two more fields, summed
+    over M: no W (M = n, every valley free), or M = 0..n-1, where the state
+    also carries whether the rest of the path must still hold a W run
+    starting at M; a W run that starts at M leaves either answer."""
+    allows_w = kind.allows_w
+    step = _steady_step(allows_w, _code_event)
+    if not kind.marked:
+        return _sum(step, n, lambda state: 1, (0, 0))
+    if allows_w:
+        step = cache(step)  # stepped once per lowest W start M, where a Dyck state is stepped once
 
     @cache
-    def count(k, d_prev, floor, lowest_w, must_w):
+    def count(k, state, lowest_w, must_w):
         if k == n:
             return int(not must_w)
         c = 0
-        for d, floor_d in children(k, d_prev, floor):
-            event = _code_event(k, d_prev, d)
-            if not (marked and event):
-                c += count(k + 1, d, floor_d, lowest_w, must_w)
+        for event, child in step(k, state):
+            if not event:
+                c += count(k + 1, child, lowest_w, must_w)
             elif event[0] < 0:  # a W run, whose lowest step starts at ~event[0]
                 low = ~event[0]
                 if low > lowest_w:
-                    c += count(k + 1, d, floor_d, lowest_w, must_w)
+                    c += count(k + 1, child, lowest_w, must_w)
                 elif low == lowest_w and must_w:
-                    c += count(k + 1, d, floor_d, lowest_w, False) + count(k + 1, d, floor_d, lowest_w, True)
+                    c += count(k + 1, child, lowest_w, False) + count(k + 1, child, lowest_w, True)
             else:  # a valley at height h
                 h = event[0]
                 free = h < lowest_w or h == lowest_w and not must_w
-                c += (h + 1 if free else 1) * count(k + 1, d, floor_d, lowest_w, must_w)
+                c += (h + 1 if free else 1) * count(k + 1, child, lowest_w, must_w)
         return c
 
-    return count(0, 0, 0, n, False) + sum(count(0, 0, 0, m, True) for m in range(n if marked and allows_w else 0))
+    return count(0, (0, 0), n, False) + sum(count(0, (0, 0), m, True) for m in range(n if allows_w else 0))
 
 
-def _grow_trees(n, leaves_increasing: bool):
-    """The trees of size n >= 1: vertex 1 over each of its places in each
-    partial tree that holds n..2 under the root.
-
-    The trees are increasing ordered trees on 0..n, built from the root alone
-    by placing n, n-1, .., 1 under the root in turn, each over a run of
-    consecutive root children (which become its children) or as a leaf in a
-    gap between them; with leaves_increasing, a new leaf goes in the leftmost
-    gap only.  The search keeps an explicit stack of the root's children
-    (pre-order labels and arities, each child's start, then their end) and
-    the next vertex, which goes in before the first child of its run i..j; a
-    leaf is i..i (_tree_places)."""
-    places = _tree_places(leaves_increasing)
-    out = []
-    stack = [((), (), (0,), n)]
-    while stack:
-        labels, arity, starts, v = stack.pop()
-        k = len(starts) - 1
-        runs = places(k)
-        if v == 1:
-            for i, j in runs:  # vertex 1 over i..j leaves the root k - (j - i) + 1 children
-                p = starts[i]
-                tree = (0,) + labels[:p] + (1,) + labels[p:], (k + 1 - j + i,) + arity[:p] + (j - i,) + arity[p:]
-                out.append(OrderedTree._from_flat(*tree))
-            continue
-        for i, j in reversed(runs):
-            p = starts[i]
-            shifted = starts[: i + 1] + tuple(s + 1 for s in starts[j:])
-            stack.append((labels[:p] + (v,) + labels[p:], arity[:p] + (j - i,) + arity[p:], shifted, v - 1))
-    return out
-
-
-def _tree_places(leaves_increasing):
-    """The child step of _grow_trees, for one walk: a function of the
-    number k of root children that gives the runs i..j where the next
-    vertex may go, the gaps i..i first (the leftmost only with
-    leaves_increasing).  Placing it leaves the root k - (j - i) + 1
-    children."""
+def _tree_step(leaves_increasing):
+    """The child step of _grow_trees, for one walk: from the number k of root
+    children, which decides where the next vertex may go, each run i..j of
+    root children it may cover, the gaps i..i first (the leftmost only with
+    leaves_increasing), with the number k - (j - i) + 1 of root children it
+    leaves.  The runs depend on k alone, so they are worked out once per k,
+    whatever the depth."""
 
     @cache
     def places(k):
         gaps = [(g, g) for g in range(1 if leaves_increasing else k + 1)]
-        return gaps + [(i, j) for i in range(k) for j in range(i + 1, k + 1)]
+        return [((i, j), k - (j - i) + 1) for i, j in gaps + [(i, j) for i in range(k) for j in range(i + 1, k + 1)]]
 
-    return places
+    return lambda m, k: places(k)
+
+
+def _grow_trees(n, leaves_increasing: bool):
+    """The trees of size n >= 1, from the root alone (_walk, _tree_step),
+    vertex v = n, .., 1 going in under the root as increasing_ordered_trees
+    says.  A partial tree is its pre-order labels and arities below the
+    root, and each root child's start in them, then their end; v goes in
+    before the first child of its run i..j, and a leaf is i..i."""
+    step = _tree_step(leaves_increasing)
+
+    def join(tree, run):
+        (labels, arity, starts), (i, j) = tree, run
+        p = starts[i]
+        return (labels[:p] + (n - len(labels),) + labels[p:], arity[:p] + (j - i,) + arity[p:],
+                starts[: i + 1] + tuple(s + 1 for s in starts[j:]))
+
+    def last(tree, k):  # vertex 1 over i..j, leaving the root k2 children
+        labels, arity, starts = tree
+        return [
+            OrderedTree._from_flat((0,) + labels[:p] + (1,) + labels[p:], (k2,) + arity[:p] + (j - i,) + arity[p:])
+            for (i, j), k2 in step(n - 1, k) for p in (starts[i],)
+        ]
+
+    return _walk(step, n - 1, last, [], ((), (), (0,)), 0, join)
 
 
 @lru_cache(maxsize=None)
@@ -891,17 +910,10 @@ def increasing_leaf_trees(n) -> tuple[OrderedTree, ...]:
 
 @lru_cache(maxsize=None)
 def _leaf_tree_count(n) -> int:
-    """len(increasing_leaf_trees(n)), by a recursion on the state of
-    _grow_trees through its child step (_tree_places): the places of the
-    next vertex v, and so every completion, depend only on the number k of
-    root children, so each (k, v) is counted once."""
-    places = _tree_places(True)
-
-    @cache
-    def count(k, v):
-        return sum(count(k - (j - i) + 1, v - 1) for i, j in places(k)) if v else 1
-
-    return count(0, n)
+    """len(increasing_leaf_trees(n)), by a sum over the state of _grow_trees
+    (_sum, _tree_step): the places of each next vertex, and so every
+    completion, depend only on the number k of root children."""
+    return _sum(_tree_step(True), n, lambda k: 1, 0)
 
 
 def _as_pattern_key(spec):
@@ -961,24 +973,11 @@ def enumerate_class(kind: str, spec, n: int, limit=None):
 
 def count_class(kind: str, spec, n: int, limit=None) -> int:
     """len(enumerate_class(kind, spec, n, limit)), with the same errors,
-    without listing the class.  Where a walk's state decides every
-    completion, a recursion on the state through the listing's child step
-    counts each state once:
-
-    - inversion sequences avoiding relation triples or 3-letter words:
-      (m, seen, banned), ending in the popcount of the values 0..n-1 that
-      are not banned (_invseq_count);
-    - steady and Dyck words: (k, d_k, floor), one per code; a marked Dyck
-      path weighs each valley at height h by its h + 1 marks, and a marked
-      steady path sums over its lowest W height M, a valley weighing h + 1
-      when free and 1 when blocked (_path_count);
-    - increasing-leaves trees: (root children k, next vertex v), one per
-      place of v (_leaf_tree_count).
-
-    Permutations and words of other lengths, whose completion masks come
-    from a search of the whole prefix, visit each member of size n - 1 and
-    add the popcount of the values (ranks) it allows.
-    """
+    without listing the class: a sum over states (_sum) where a state
+    decides every completion, as for relation triples, 3-letter words,
+    unmarked paths and trees; a weighted recursion on the path state for
+    marked paths (_path_count); otherwise a walk that adds up the children
+    of each member of size n - 1 (_walk)."""
     _, counting, args, _ = _class(kind, spec, n, limit)
     return counting(*args)
 

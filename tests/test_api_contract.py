@@ -101,6 +101,12 @@ CASES = [
     ("Permutation", ((1, 0.5),), ValueError),
     ("LatticePath", ("UDUD", (0.5,), "vmdyck"), ValueError),
     ("OrderedTree", ("a",), TypeError),
+    # int() also reads these as integers: an entry is an optional "-" and ASCII 0-9
+    ("parse_object", ("0,\u0660", "invseq"), ParseError),
+    ("parse_object", ("0,+0", "invseq"), ParseError),
+    ("parse_object", ("0,0_0", "invseq"), ParseError),
+    ("parse_object", ("1,\uff12", "perm"), ParseError),
+    ("parse_object", ("UUDD;marks=+1", "vmdyck"), ParseError),
 ]
 
 

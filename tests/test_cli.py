@@ -32,29 +32,36 @@ def test_count_family_syntaxes_agree():
 
 
 def test_a_repeated_count_walks_its_class_once(monkeypatch):
-    # the counting recursion's total is kept, so a warm count request looks
-    # it up and takes no child step
+    # the state sum steps each (depth, state) once, and its total is kept,
+    # so a warm count request looks it up and takes no child step
     from powcat import patterns
 
-    states = []
-    children = patterns._invseq_children
+    for factory, family, n, want in [
+        ("_invseq_step", "eq,gt,gt", 7, "3207\n"),
+        ("_steady_step", "path:steady", 8, "20577\n"),
+        ("_tree_step", "tree", 8, "20577\n"),
+    ]:
+        states = []
+        make = getattr(patterns, factory)
 
-    def counted_children(*args):
-        step = children(*args)
+        def counted_factory(*args, make=make, states=states):
+            made = make(*args)
+            step = made[0] if isinstance(made, tuple) else made
 
-        def counted_step(*state):
-            states.append(state)
-            return step(*state)
+            def counted_step(m, state):
+                states.append((m, state))
+                return step(m, state)
 
-        return counted_step
+            return (counted_step, *made[1:]) if isinstance(made, tuple) else counted_step
 
-    monkeypatch.setattr(patterns, "_invseq_children", counted_children)
-    patterns._invseq_count.cache_clear()  # an earlier test may have counted this class
-    assert run(["count", "--family", "eq,gt,gt", "--n", "7"]) == (0, "3207\n")
-    stepped = len(states)
-    assert stepped == len(set(states)) > 0  # each state of the recursion is stepped once
-    assert run(["count", "--family", "eq,gt,gt", "--n", "7"]) == (0, "3207\n")
-    assert len(states) == stepped
+        monkeypatch.setattr(patterns, factory, counted_factory)
+        for counting in (patterns._invseq_count, patterns._path_count, patterns._leaf_tree_count):
+            counting.cache_clear()  # an earlier test may have counted this class
+        assert run(["count", "--family", family, "--n", str(n)]) == (0, want), family
+        stepped = len(states)
+        assert stepped == len(set(states)) > 0, family
+        assert run(["count", "--family", family, "--n", str(n)]) == (0, want), family
+        assert len(states) == stepped, family
 
 
 def test_an_unknown_path_kind_exits_2_with_one_line(capsys):
@@ -268,6 +275,18 @@ def test_non_ascii_digits_in_tree_input_exit_2_with_one_line(capsys):
     for text in ("0(\u00b2)", "0(\u0663)"):
         assert run(["grow", "--family", "pcat:tree", "--input", text]) == (2, "")
         assert capsys.readouterr().err == f"error: expected a label, got {text[2]!r} (at position 3)\n"
+
+
+def test_non_ascii_digits_and_int_syntax_exit_2_with_one_line(capsys):
+    # int() reads each of these entries as 0, and str.isdecimal() passes the pattern letters
+    for entry in ("\u0660", "+0", "0_0"):
+        assert run(["grow", "--family", "cat", "--input", f"0,{entry}"]) == (2, "")
+        assert capsys.readouterr().err == f"error: bad integer {entry!r} (at position 2)\n"
+    for word in ("\u0661\u0661\u0660", "\uff11\uff11\uff10"):
+        assert run(["count", "--family", f"avoid:{word}", "--n", "4"]) == (2, "")
+        assert capsys.readouterr().err == f"error: bad word letter {word[0]!r} in {word!r} (at position 1)\n"
+    assert run(["count", "--family", "perm:1-\u0662\u0663-4", "--n", "4"]) == (2, "")
+    assert capsys.readouterr().err == "error: bad pattern letter '\u0662' in '1-\u0662\u0663-4'\n"
 
 
 def test_conjecture_size_is_bounded():

@@ -8,6 +8,7 @@ from math import prod
 import pytest
 
 from powcat.errors import SIZE_LIMITS, LimitError
+from powcat.gentree import level_counts
 from powcat.objects import (
     InversionSequence,
     PathKind,
@@ -741,3 +742,17 @@ def test_equinumerosity_examples():
     )
     assert all(equal for _, _, _, equal in rows)
     assert [ca for _, ca, _, _ in rows] == [1, 2, 6, 23, 105, 549, 3207, 20577]
+
+
+@pytest.mark.parametrize("kind, spec, n, rule, sequence", [
+    ("path-kind", PathKind.DYCK, 30, "cat", "catalan"),
+    ("path-kind", PathKind.STEADY, 30, "steady", "pcat"),
+    ("path-kind", PathKind.VMDYCK, 30, "pcat", "pcat"),
+    ("tree", None, 30, "pcat", "pcat"),
+    ("invseq-triple", INVSEQ_FAMILIES["cat"], 14, "cat", "catalan"),
+    ("invseq-triple", INVSEQ_FAMILIES["pcat"], 12, "pcat", "pcat"),
+], ids=["dyck", "steady", "vmdyck", "tree", "invseq-cat", "invseq-pcat"])
+def test_state_counts_agree_with_the_rules_and_the_references_past_the_listings(kind, spec, n, rule, sequence):
+    # three independent routes: the enumerator's state sum, the succession
+    # rule's level DP and the closed form or recurrence of the sequence
+    assert count_class(kind, spec, n, limit=n) == level_counts(rule, n)[-1] == reference_sequence(sequence, n)[-1]
