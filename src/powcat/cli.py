@@ -19,7 +19,7 @@ import sys
 from . import bijections, growth, series, verify
 from .errors import check_size
 from .gentree import RULES, level_counts
-from .objects import PathKind, parse_object, text_size, to_text
+from .objects import PathKind, _ascii_int, parse_object, text_size, to_text
 from .patterns import (
     RelationTriple,
     VincularPattern,
@@ -199,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("count", _cmd_count, "count a class at one size")
     p.add_argument("--family", required=True, help="'geq,dash,geq' | 'avoid:110,210' | 'perm:1-23-4+...' | 'path:steady' | 'tree'")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
 
     p = add("levels", _cmd_levels, "generating-tree level counts of a rule")
     p.add_argument("--rule", choices=sorted(RULES), required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_ascii_int, required=True)
 
     p = add("triangle", _cmd_triangle, "the refined count triangle")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
 
     p = add("grow", _cmd_grow, "one growth step with labels")
     p.add_argument("--family", choices=sorted(growth.FAMILIES), required=True)
@@ -218,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "run a cross-validation suite")
     p.add_argument("suite", choices=sorted(verify.SUITES), nargs="?", default="all")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_ascii_int, default=1)
 
     p = add("conjecture", _cmd_conjecture, "RTL-minima evidence for AV(23-1-4)")
-    p.add_argument("--n", type=int, default=9)
+    p.add_argument("--n", type=_ascii_int, default=9)
 
     p = add("series", _cmd_series, "reference sequences and series checks")
     p.add_argument("name", choices=("catalan", "a108307", "baxter", "semibaxter", "pcat", "triangle", "kernel-a11", "residual"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
 
     return parser
 

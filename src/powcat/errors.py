@@ -49,7 +49,10 @@ SIZE_LIMITS = {
 
 def check_size(name: str, n: int, highest: int | None = None) -> None:
     """Raise LimitError unless n lies in the named size's range; highest, when
-    given, replaces the table's (the limit= argument of the class functions)."""
+    given, replaces the table's (the limit= argument of the class functions).
+    TypeError unless n is an int: a float or a bool would compare as one."""
+    if type(n) is bool or not isinstance(n, int):
+        raise TypeError(f"{name} size must be an int, got {type(n).__name__}")
     lowest, top = SIZE_LIMITS[name]
     top = top if highest is None else highest
     if not lowest <= n <= top:

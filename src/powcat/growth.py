@@ -34,11 +34,10 @@ from .objects import (
 )
 from .patterns import (
     VincularPattern,
+    avoids_triple,
     enumerate_class,
     in_class,
-    in_invseq_family,
     INVSEQ_FAMILIES,
-    ltr_max_flags,
     require_member,
 )
 
@@ -70,11 +69,8 @@ def cat_insert(e: InversionSequence, i: int) -> InversionSequence:
 def active_positions_cat(e: InversionSequence) -> list[int]:
     """Positions i where cat_insert keeps membership in the geq,dash,geq family."""
     require_member(e, _invseq_class("cat"), "a Catalan inversion sequence")
-    return [
-        i
-        for i in range(1, len(e) + 2)
-        if in_invseq_family("cat", cat_insert(e, i).entries)
-    ]
+    cat = INVSEQ_FAMILIES["cat"]
+    return [i for i in range(1, len(e) + 2) if avoids_triple(cat_insert(e, i), cat)]
 
 
 def cat_label(e: InversionSequence) -> Label:
@@ -88,62 +84,65 @@ def cat_children(e: InversionSequence) -> list[tuple[InversionSequence, Label]]:
 # -- rightmost-entry growths: cat2, i-geq3, bax, semi ------------------------------
 
 
-def _mwd(values) -> int:
-    """Largest weak-descent entry, -1 when there is no weak descent."""
-    best = -1
-    for i in range(len(values) - 1):
-        if values[i] >= values[i + 1]:
-            best = max(best, values[i])
-    return best
+def _rightmost(values) -> tuple[int, int, int, bool]:
+    """The statistics of the four rightmost-entry labels, in one left-to-right
+    pass: (max, mwd, last, tied).  mwd is the largest weak-descent top and
+    last the rightmost entry that is not a strict LTR maximum, each -1 when
+    there is none; tied says that entry equals the maximum before it, which
+    is exactly "it forms no inversion" (True when there is none).
 
-
-def _last_non_ltr(values, sentinel: int) -> int:
-    """Value of the rightmost entry that is not a LTR maximum."""
-    flags = ltr_max_flags(values)
-    for i in range(len(values) - 1, -1, -1):
-        if not flags[i]:
-            return values[i]
-    return sentinel
-
-
-def _bax_case_a(values) -> bool:
-    """True when every entry is a LTR maximum or the rightmost non-maximum
-    forms no inversion (nothing larger sits to its left)."""
-    flags = ltr_max_flags(values)
-    for i in range(len(values) - 1, -1, -1):
-        if not flags[i]:
-            return not any(values[j] > values[i] for j in range(i))
-    return True
+    One pass suffices because each statistic reads only the running maximum
+    and the previous entry: an entry is a strict LTR maximum iff it exceeds
+    the running maximum, a later non-maximum replaces an earlier one, and a
+    non-maximum x sits below the running maximum hi, so some earlier entry
+    exceeds it iff x < hi.  Entries are non-negative, so -1 starts every
+    statistic and the previous entry, and no pair ends at the first entry."""
+    hi = mwd = last = prev = -1
+    tied = True
+    for x in values:
+        if prev >= x and prev > mwd:
+            mwd = prev
+        if x > hi:
+            hi = x
+        else:
+            last, tied = x, x == hi
+        prev = x
+    return hi, mwd, last, tied
 
 
 def cat2_label(e: InversionSequence) -> Label:
     v = e.entries
-    return (max(v) - _mwd(v), len(v) - max(v))
+    hi, mwd, _, _ = _rightmost(v)
+    return (hi - mwd, len(v) - hi)
 
 
 def igeq3_label(e: InversionSequence) -> Label:
     v = e.entries
-    return (max(v) - _last_non_ltr(v, -1), len(v) - max(v))
+    hi, _, last, _ = _rightmost(v)
+    return (hi - last, len(v) - hi)
 
 
 def bax_label(e: InversionSequence) -> Label:
     v = e.entries
-    h = max(v) - _last_non_ltr(v, 0)
-    return (h + 1 if _bax_case_a(v) else h, len(v) - max(v))
+    hi, _, last, tied = _rightmost(v)
+    h = hi - max(last, 0)
+    return (h + 1 if tied else h, len(v) - hi)
 
 
 def semi_label(e: InversionSequence) -> Label:
     v = e.entries
-    return (max(v) - _last_non_ltr(v, 0) + 1, len(v) - max(v))
+    hi, _, last, _ = _rightmost(v)
+    return (hi - max(last, 0) + 1, len(v) - hi)
 
 
-# each family's label (h, k) and the first label component of the child whose
-# new entry p is at most max(e), as a function of max(e) - p
+# each family's membership class, its label (h, k), and the first label
+# component of the child whose new entry p is at most max(e), as a function
+# of max(e) - p
 _RIGHTMOST = {
-    "cat2": (cat2_label, lambda d: 0),
-    "i-geq3": (igeq3_label, lambda d: d),
-    "bax": (bax_label, lambda d: max(d, 1)),
-    "semi": (semi_label, lambda d: d + 1),
+    "cat2": ("cat", cat2_label, lambda d: 0),
+    "i-geq3": ("i-geq3", igeq3_label, lambda d: d),
+    "bax": ("bax", bax_label, lambda d: max(d, 1)),
+    "semi": ("semi", semi_label, lambda d: d + 1),
 }
 
 
@@ -151,11 +150,12 @@ def children_rightmost_entry(family: str, e: InversionSequence):
     """Children of e by adding a new rightmost entry, with their labels: with
     (h, k) the label of e, the new entries are max(e) - h + 1 .. max(e) + k,
     and the one d above max(e) gets the label (h + d, k - d + 1)."""
-    membership = "cat" if family == "cat2" else family
+    if family not in _RIGHTMOST:
+        raise UnknownNameError("rightmost-entry family", family, _RIGHTMOST)
+    membership, label, first = _RIGHTMOST[family]
     require_member(e, _invseq_class(membership), f"an inversion sequence of family {membership}")
-    label, first = _RIGHTMOST[family]
     h, k = label(e)
-    mx = max(e.entries)
+    mx = len(e.entries) - k
     out = [(p, (first(mx - p), k + 1)) for p in range(mx - h + 1, mx + 1)]
     out += [(mx + d, (h + d, k - d + 1)) for d in range(1, k + 1)]
     return [(InversionSequence(e.entries + (p,)), lab) for p, lab in out]
@@ -240,20 +240,27 @@ def steady_children(path: LatticePath):
 
 def _p1234_site_bound(values) -> int:
     """Top active site: the minimal ascent top pi_t completing a 1-23
-    occurrence bounds the sites at pi_t; n+1 when no occurrence exists."""
-    n = len(values)
-    best = None
-    for t in range(1, n):
-        if values[t - 1] < values[t] and any(values[s] < values[t - 1] for s in range(t - 1)):
-            if best is None or values[t] < best:
-                best = values[t]
-    return n + 1 if best is None else best
+    occurrence bounds the sites at pi_t; n+1 when no occurrence exists.
+
+    One pass, carrying lo, the least entry before each adjacent pair (a, b):
+    some earlier entry lies below a iff lo < a, so the pair completes a 1-23
+    iff lo < a < b, and the bound is the least such b.  The values are
+    1..n, so n + 1 starts lo and the bound above every entry."""
+    best = lo = len(values) + 1
+    for a, b in zip(values, values[1:]):
+        if lo < a < b < best:
+            best = b
+        if a < lo:
+            lo = a
+    return best
 
 
 def p1234_label(p: Permutation) -> Label:
+    """(h, k) with h the active sites at most the last value and h + k the
+    site bound."""
     v = p.values
     bound = _p1234_site_bound(v)
-    h = sum(1 for a in range(1, bound + 1) if a <= v[-1])
+    h = min(bound, v[-1])
     return (h, bound - h)
 
 
@@ -265,10 +272,9 @@ def perm1234_children(p: Permutation):
     """Children by right expansion at each active site, with their labels."""
     v = p.values
     require_member(p, P1234_CLASS, "a permutation avoiding 1-23-4")
-    bound = _p1234_site_bound(v)
     h, k = p1234_label(p)
     out = []
-    for a in range(1, bound + 1):
+    for a in range(1, h + k + 1):
         if v[-1] == 1:
             label = (a, k + 2 - a)
         elif a <= v[-1]:
@@ -355,16 +361,10 @@ class FamilyGrowth:
 
 FAMILIES = {
     "cat": FamilyGrowth("cat", "invseq", _invseq_class("cat"), cat_children, cat_label),
-    "cat2": FamilyGrowth(
-        "cat2", "invseq", _invseq_class("cat"), partial(children_rightmost_entry, "cat2"), cat2_label
-    ),
-    "i-geq3": FamilyGrowth(
-        "i-geq3", "invseq", _invseq_class("i-geq3"), partial(children_rightmost_entry, "i-geq3"), igeq3_label
-    ),
-    "bax": FamilyGrowth("bax", "invseq", _invseq_class("bax"), partial(children_rightmost_entry, "bax"), bax_label),
-    "semi": FamilyGrowth(
-        "semi", "invseq", _invseq_class("semi"), partial(children_rightmost_entry, "semi"), semi_label
-    ),
+    **{
+        name: FamilyGrowth(name, "invseq", _invseq_class(cls), partial(children_rightmost_entry, name), label)
+        for name, (cls, label, _) in _RIGHTMOST.items()
+    },
     "pcat:invseq": FamilyGrowth(
         "pcat", "invseq", _invseq_class("pcat"), pcat_children_invseq, pcat_label_invseq, pcat_parent_invseq
     ),

@@ -580,16 +580,19 @@ def require_valid(obj, what: str, cls=object) -> None:
 # trees: nested parenthesized label lists, children left to right: 0(1(3)2)
 
 
+def _ascii_int(text: str, position: int | None = None) -> int:
+    """An optional "-" then ASCII 0-9: the one integer syntax of the text
+    formats and of the CLI's integer options.  int() also takes "+0", "0_0",
+    surrounding spaces and non-ASCII digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ParseError(f"bad integer {text!r}", position=position)
+    return int(text)
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     if text.strip() == "":
         raise ParseError("empty integer list", position=1)
-    out = []
-    for i, part in enumerate(text.split(","), start=1):
-        part = part.strip()
-        if not re.fullmatch("-?[0-9]+", part):  # int() also takes "+0", "0_0" and non-ASCII digits
-            raise ParseError(f"bad integer {part!r}", position=i)
-        out.append(int(part))
-    return tuple(out)
+    return tuple(_ascii_int(part.strip(), i) for i, part in enumerate(text.split(","), start=1))
 
 
 def parse_path_text(text: str, kind: PathKind | str) -> LatticePath:

@@ -341,17 +341,6 @@ def two_chain_criterion(values) -> bool:
     return True
 
 
-def ltr_max_flags(v):
-    """flags[i] is True when v[i] is a left-to-right maximum (strict)."""
-    flags = []
-    hi = None
-    for x in v:
-        flags.append(hi is None or x > hi)
-        if hi is None or x > hi:
-            hi = x
-    return flags
-
-
 def baxter_inversion_criterion(values) -> bool:
     """Every inversion (e_i > e_j, i < j) has a LTR-maximum top and a
     RTL-minimum bottom: nothing after a non-LTR-maximum is smaller than it,

@@ -107,6 +107,11 @@ CASES = [
     ("parse_object", ("0,0_0", "invseq"), ParseError),
     ("parse_object", ("1,\uff12", "perm"), ParseError),
     ("parse_object", ("UUDD;marks=+1", "vmdyck"), ParseError),
+    # a float or a bool compares as a size; a size must be an int
+    ("enumerate_class", ("tree", None, 2.0), TypeError),
+    ("count_class", ("path-kind", "dyck", 3.0), TypeError),
+    ("level_counts", ("cat", True), TypeError),
+    ("count_class", ("invseq-triple", GEQ_DASH_GEQ, 3.0), TypeError),
 ]
 
 

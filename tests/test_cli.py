@@ -289,6 +289,27 @@ def test_non_ascii_digits_and_int_syntax_exit_2_with_one_line(capsys):
     assert capsys.readouterr().err == "error: bad pattern letter '\u0662' in '1-\u0662\u0663-4'\n"
 
 
+# int() reads each of these sizes as an integer; an option takes an optional "-" and ASCII 0-9
+NON_ASCII_INTEGER_OPTIONS = [
+    ["levels", "--rule", "cat", "--depth", "\u0664"],
+    ["levels", "--rule", "cat", "--depth", "+4"],
+    ["levels", "--rule", "cat", "--depth", "0_4"],
+    ["count", "--family", "tree", "--n", "\uff13"],
+    ["triangle", "--n", " 3"],
+    ["series", "catalan", "--n", "+3"],
+    ["conjecture", "--n", "\u0665"],
+    ["verify", "series", "--jobs", "+1"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_ASCII_INTEGER_OPTIONS, ids=[f"{a[0]}-{i}" for i, a in enumerate(NON_ASCII_INTEGER_OPTIONS)])
+def test_integer_options_take_ascii_digits_only(argv, capsys):
+    assert run(argv) == (2, "")
+    # the usage block above the error line wraps with the terminal width
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith(("usage:", " "))]
+    assert lines == [f"powcat {argv[0]}: error: argument {argv[-2]}: invalid _ascii_int value: {argv[-1]!r}"]
+
+
 def test_conjecture_size_is_bounded():
     for n in ("0", "11"):
         code, out = run(["conjecture", "--n", n])

@@ -4,10 +4,12 @@ Heavier exhaustive certification lives in the acceptance module; here the
 frozen small examples plus consistency and unique generation at n_max = 5-6.
 """
 import hashlib
+from functools import partial
+from itertools import product
 
 import pytest
 
-from powcat.errors import MembershipError
+from powcat.errors import MembershipError, UnknownNameError
 from powcat.gentree import expand_label
 from powcat.growth import (
     FAMILIES,
@@ -18,9 +20,11 @@ from powcat.growth import (
     cat_insert,
     children_rightmost_entry,
     growth_consistency,
+    igeq3_label,
     pcat_children_invseq,
     pcat_parent_invseq,
     perm1234_children,
+    semi_label,
     steady_children,
     steady_label,
     tree_children,
@@ -96,13 +100,33 @@ def test_bax_case_split_labels():
     assert bax_label(InversionSequence((0, 2, 1))) == (1, 1)
 
 
-def test_cat2_label_definition_matches_independent_scan():
-    for n in range(1, 8):
-        for e in FAMILIES["cat"].enumerate(n):
-            v = e.entries
-            weak_descents = [v[i] for i in range(len(v) - 1) if v[i] >= v[i + 1]]
-            mwd = max(weak_descents) if weak_descents else -1
-            assert cat2_label(e) == (max(v) - mwd, len(v) - max(v))
+def _every_inversion_sequence(n_max):
+    for n in range(1, n_max + 1):
+        yield from product(*(range(i) for i in range(1, n + 1)))
+
+
+def test_rightmost_labels_match_their_definitions_on_every_inversion_sequence():
+    # members or not: every label is defined by the entries alone
+    for v in _every_inversion_sequence(7):
+        e, n, mx = InversionSequence(v), len(v), max(v)
+        weak_descents = [v[i] for i in range(n - 1) if v[i] >= v[i + 1]]
+        mwd = max(weak_descents) if weak_descents else -1
+        # entries that are not strict LTR maxima: something at or above them to their left
+        non_ltr = [i for i in range(n) if any(v[j] >= v[i] for j in range(i))]
+        last = v[non_ltr[-1]] if non_ltr else None
+        no_inversion = not non_ltr or not any(v[j] > last for j in range(non_ltr[-1]))
+        assert cat2_label(e) == (mx - mwd, n - mx), v
+        assert igeq3_label(e) == (mx - (-1 if last is None else last), n - mx), v
+        bax_h = mx - (0 if last is None else last)
+        assert bax_label(e) == (bax_h + 1 if no_inversion else bax_h, n - mx), v
+        assert semi_label(e) == (mx - (0 if last is None else last) + 1, n - mx), v
+
+
+def test_rightmost_growth_rejects_an_unknown_family_before_any_work():
+    not_an_invseq = InversionSequence((0, 5))  # would fail membership if it were read
+    for family in ("nope", "cat"):
+        with pytest.raises(UnknownNameError, match="bax, cat2, i-geq3, semi"):
+            children_rightmost_entry(family, not_an_invseq)
 
 
 def test_bax_children_label_multiset_matches_rule():
@@ -236,7 +260,7 @@ def test_active_sites_match_brute_force():
     from powcat.patterns import avoids_vincular
     from powcat.growth import perm_append
 
-    for n in range(1, 7):
+    for n in range(1, 8):
         for p in FAMILIES["p1234"].enumerate(n):
             brute = [a for a in range(1, n + 2) if avoids_vincular(perm_append(p, a), P1234)]
             assert brute == list(range(1, _p1234_site_bound(p.values) + 1))
@@ -357,6 +381,37 @@ def test_registry_members_and_counts_agree_with_the_class(family):
             inside = {obj.entries for obj in members}
             outside = [InversionSequence(v) for v in product(*(range(i) for i in range(1, n + 1))) if v not in inside]
             assert not any(fam.member(e) for e in outside)
+
+
+def test_registry_rows_are_fixed():
+    from powcat import growth as G
+    from powcat.patterns import RelationTriple
+
+    def invseq(*relations):
+        return ("invseq-triple", RelationTriple(*relations))
+
+    # key, rule, kind, class key, children (a function, or a partial's function and arguments), label, parent
+    rows = [
+        ("cat", "cat", "invseq", invseq("geq", "dash", "geq"), G.cat_children, G.cat_label, None),
+        ("cat2", "cat2", "invseq", invseq("geq", "dash", "geq"), (G.children_rightmost_entry, ("cat2",)), G.cat2_label, None),
+        ("i-geq3", "i-geq3", "invseq", invseq("geq", "geq", "geq"), (G.children_rightmost_entry, ("i-geq3",)), G.igeq3_label, None),
+        ("bax", "bax", "invseq", invseq("geq", "geq", "gt"), (G.children_rightmost_entry, ("bax",)), G.bax_label, None),
+        ("semi", "semi", "invseq", invseq("geq", "gt", "dash"), (G.children_rightmost_entry, ("semi",)), G.semi_label, None),
+        ("pcat:invseq", "pcat", "invseq", invseq("eq", "gt", "gt"), G.pcat_children_invseq, G.pcat_label_invseq, G.pcat_parent_invseq),
+        ("pcat:vmdyck", "pcat", "vmdyck", ("path-kind", PathKind.VMDYCK), G.vmdyck_children, G.vmdyck_label, None),
+        ("pcat:tree", "pcat", "tree", ("tree", None), G.tree_children, G.tree_label, None),
+        ("steady", "steady", "steady", ("path-kind", PathKind.STEADY), G.steady_children, G.steady_label, None),
+        ("p1234", "p1234", "perm", ("perm-vincular", P1234), G.perm1234_children, G.p1234_label, None),
+    ]
+
+    def children(fam):
+        if isinstance(fam.children, partial):
+            assert not fam.children.keywords
+            return (fam.children.func, fam.children.args)
+        return fam.children
+
+    got = [(key, f.rule, f.kind, f.cls, children(f), f.label, f.parent) for key, f in FAMILIES.items()]
+    assert got == rows
 
 
 def test_registry_membership_checks_the_kind_invariants():
