@@ -34,7 +34,6 @@ from .objects import (
 )
 from .patterns import (
     VincularPattern,
-    avoids_triple,
     enumerate_class,
     in_class,
     INVSEQ_FAMILIES,
@@ -67,10 +66,18 @@ def cat_insert(e: InversionSequence, i: int) -> InversionSequence:
 
 
 def active_positions_cat(e: InversionSequence) -> list[int]:
-    """Positions i where cat_insert keeps membership in the geq,dash,geq family."""
+    """Positions i where cat_insert keeps membership in the geq,dash,geq
+    family: exactly those where every entry after position i is at least i.
+
+    An occurrence is a < b < c with e_a >= e_b and e_a >= e_c.  Every entry
+    before the inserted i - 1 has e_a <= a - 1 < i - 1, so the new entry can
+    only be the first of an occurrence (one among the old entries alone is
+    one of e itself), and that needs two of e_i..e_n at most i - 1.  Since
+    e_i <= i - 1 always holds, the insertion fails exactly when some later
+    entry e_{i+1}..e_n is below i."""
     require_member(e, _invseq_class("cat"), "a Catalan inversion sequence")
-    cat = INVSEQ_FAMILIES["cat"]
-    return [i for i in range(1, len(e) + 2) if avoids_triple(cat_insert(e, i), cat)]
+    v = e.entries
+    return [i for i in range(1, len(v) + 2) if min(v[i:], default=i) >= i]
 
 
 def cat_label(e: InversionSequence) -> Label:

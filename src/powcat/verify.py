@@ -20,7 +20,7 @@ from operator import methodcaller
 from . import bijections, growth, patterns, series
 from .errors import UnknownNameError, check_size
 from .gentree import label_distribution, level_counts, p1234_to_steady_relabel, rules_isomorphic_check
-from .objects import PathKind, _path_statistics, last_descent_length, make_path, to_text
+from .objects import PathKind, _path_statistics, is_valid, last_descent_length, make_path, path_valleys, to_text
 from .patterns import RelationTriple, VincularPattern, WordPattern, count_class, enumerate_class, invseq_members
 
 # each family's series.reference_sequence name and the sizes 1..n it is counted at
@@ -290,8 +290,18 @@ def check_steady_correspondence():
 def check_star_maps():
     """phi*/theta* are mutually inverse bijections with the statistics
     contract (W count -> total mark, diagonal steps kept, returns to axis ->
-    returns to the mark)."""
+    returns to the mark).  First, at each size, is_valid must accept exactly
+    the listed marked paths among every steady or Dyck word with each valley
+    at height h marked 0..h+1, so that a rule accepting too much shows."""
     for n in range(1, 8):
+        for kind, words, listed in ((PathKind.VMSTEADY, patterns.steady_words(n), set(patterns.vmsteady_paths_raw(n))),
+                                    (PathKind.VMDYCK, patterns.dyck_words(n), set(patterns.vmdyck_paths_raw(n)))):
+            accepted = {(w, marks) for w in words for marks in product(*(range(h + 2) for _, h in path_valleys(w)))
+                        if is_valid(make_path(w, marks, kind))}
+            if accepted != listed:
+                w, marks = min(accepted ^ listed)
+                yield (f"n={n}: is_valid accepts {len(accepted)} {kind.value} paths against {len(listed)} listed, "
+                       f"first differing at {to_text(make_path(w, marks, kind))}")
         steadies = enumerate_class("path-kind", PathKind.STEADY, n)
         images = set()
         for p in steadies:

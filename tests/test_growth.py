@@ -17,6 +17,7 @@ from powcat.growth import (
     active_positions_cat,
     bax_label,
     cat2_label,
+    cat_children,
     cat_insert,
     children_rightmost_entry,
     growth_consistency,
@@ -264,6 +265,24 @@ def test_active_sites_match_brute_force():
         for p in FAMILIES["p1234"].enumerate(n):
             brute = [a for a in range(1, n + 2) if avoids_vincular(perm_append(p, a), P1234)]
             assert brute == list(range(1, _p1234_site_bound(p.values) + 1))
+
+
+def test_cat_active_sites_match_the_insertion_search(monkeypatch):
+    from powcat import patterns
+
+    cat = patterns.INVSEQ_FAMILIES["cat"]
+    for n in range(1, 10):
+        for e in FAMILIES["cat"].enumerate(n):
+            search = [i for i in range(1, n + 2) if patterns.avoids_triple(cat_insert(e, i), cat)]
+            assert active_positions_cat(e) == search, e
+    # the sites come from the entries alone: the one avoidance test left is
+    # the membership check of the input
+    calls = []
+    avoids = patterns.avoids_triple
+    monkeypatch.setattr(patterns, "avoids_triple", lambda e, t: calls.append(e) or avoids(e, t))
+    e = InversionSequence((0, 0, 2, 3, 1, 5, 6, 4))
+    kids = cat_children(e)
+    assert len(calls) == 1 and [lab for _, lab in kids] == [(1,), (2,)]
 
 
 # -- marked Dyck paths and trees ----------------------------------------------------------------

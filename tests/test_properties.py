@@ -2,11 +2,12 @@
 
 At seeded sizes n = 10..30 the fast membership and avoidance tests must
 agree with their slow definitions: is_valid() with validate().ok,
-avoids_triple() with a literal i < j < k loop, and avoids_word() and
-avoids_vincular() with searches over position sets.  Members come from
-random walks down the certified growths, so large avoiders are sampled as
-well as the random objects that almost always contain a pattern; corrupted
-copies supply non-members of every kind.
+avoids_triple() with a literal i < j < k loop, the Catalan active sites
+with the insertion search, and avoids_word() and avoids_vincular() with
+searches over position sets.  Members come from random walks down the
+certified growths, so large avoiders are sampled as well as the random
+objects that almost always contain a pattern; corrupted copies supply
+non-members of every kind.
 """
 import operator
 from itertools import combinations, product
@@ -18,7 +19,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from powcat.bijections import steady_to_perm  # noqa: E402
-from powcat.growth import FAMILIES  # noqa: E402
+from powcat.growth import FAMILIES, active_positions_cat, cat_insert  # noqa: E402
 from powcat.objects import (  # noqa: E402
     InversionSequence,
     LatticePath,
@@ -151,6 +152,16 @@ def test_triple_oracle_agrees_with_the_literal_loop_at_large_n(data, n, family, 
     for v in (member, shifted, spread, other):
         for t in (triple, RelationTriple(*rels)):
             assert avoids_triple(v, t) == literal_avoids(v, t), (v, t)
+
+
+@SEEDED
+@given(st.data(), SIZES)
+def test_cat_active_sites_agree_with_the_insertion_search_at_large_n(data, n):
+    # the walk grows through the site rule itself, so its members test it
+    e = walk(data, "cat", n)
+    cat = INVSEQ_FAMILIES["cat"]
+    assert avoids_triple(e, cat) and literal_avoids(e.entries, cat)
+    assert active_positions_cat(e) == [i for i in range(1, n + 2) if avoids_triple(cat_insert(e, i), cat)]
 
 
 # -- avoids_word against a literal search over position sets ------------------------------

@@ -1,7 +1,9 @@
 """The verify check protocol: each check is declared once with its name and
 size range, stops at its first counterexample, and reports a broken internal
 invariant as its own FAIL."""
-from powcat import verify
+import pytest
+
+from powcat import objects, verify
 
 # (printed name, printed size range) of every check, in `verify all` order
 DECLARED = [
@@ -77,3 +79,14 @@ def test_family_counts_stops_at_its_first_counterexample(monkeypatch):
     assert (result.name, result.ok, result.sizes) == ("family-counts", False, "n <= 9/8/7/7/7")
     assert result.counterexample == "cat: counted (1, 2, 5), expected (1, 2, 6)"
     assert calls == [("cat", 1), ("cat", 2), ("cat", 3)]
+
+
+@pytest.mark.parametrize("rule, n", [("M1", 2), ("M2", 4), ("M3", 5)])
+def test_star_maps_sees_a_mark_rule_that_accepts_too_much(monkeypatch, rule, n):
+    # with one mark rule dropped, is_valid accepts marked paths that the
+    # listings leave out, first at size n, where the check stops
+    violations = objects._path_violations
+    monkeypatch.setattr(objects, "_path_violations", lambda path: (v for v in violations(path) if v.invariant != rule))
+    result = verify.check_star_maps()
+    assert (result.name, result.ok) == ("star-maps", False)
+    assert result.counterexample.startswith(f"n={n}: is_valid accepts ")
