@@ -1,11 +1,13 @@
 """Object-level growths realizing the succession rules.
 
 Each family here grows by one canonical atom (an inserted entry, a new
-rightmost entry, a peak, an up step, a point, a vertex) and every child is
-emitted together with the label its rule's bookkeeping assigns to it.
-growth_consistency() is the executable form of the "grows according to"
-claims: membership of every child, child-label multisets against the rule
-productions, and unique generation of the next size.
+rightmost entry, a peak, an up step, a point, a vertex).  A grower states
+where its children go and labels them with the production expand_label
+lists for the parent's label, in order (reversed for marked Dyck paths and
+trees), so each rule is written once, in gentree.  growth_consistency() is
+the executable form of the "grows according to" claims: membership of
+every child, the rule's label at each child's place against the child's
+own, and unique generation of the next size.
 """
 from __future__ import annotations
 
@@ -76,16 +78,19 @@ def active_positions_cat(e: InversionSequence) -> list[int]:
     e_i <= i - 1 always holds, the insertion fails exactly when some later
     entry e_{i+1}..e_n is below i."""
     require_member(e, _invseq_class("cat"), "a Catalan inversion sequence")
-    v = e.entries
+    return _cat_sites(e.entries)
+
+
+def _cat_sites(v) -> list[int]:
     return [i for i in range(1, len(v) + 2) if min(v[i:], default=i) >= i]
 
 
 def cat_label(e: InversionSequence) -> Label:
-    return (len(active_positions_cat(e)) - 1,)
+    return (len(_cat_sites(e.entries)) - 1,)
 
 
 def cat_children(e: InversionSequence) -> list[tuple[InversionSequence, Label]]:
-    return [(cat_insert(e, i), (j,)) for j, i in enumerate(active_positions_cat(e), start=1)]
+    return [(cat_insert(e, i), lab) for i, lab in zip(active_positions_cat(e), expand_label("cat", cat_label(e)))]
 
 
 # -- rightmost-entry growths: cat2, i-geq3, bax, semi ------------------------------
@@ -142,30 +147,26 @@ def semi_label(e: InversionSequence) -> Label:
     return (hi - max(last, 0) + 1, len(v) - hi)
 
 
-# each family's membership class, its label (h, k), and the first label
-# component of the child whose new entry p is at most max(e), as a function
-# of max(e) - p
+# each family's membership class and its label (h, k); the family is also
+# the name of its rule
 _RIGHTMOST = {
-    "cat2": ("cat", cat2_label, lambda d: 0),
-    "i-geq3": ("i-geq3", igeq3_label, lambda d: d),
-    "bax": ("bax", bax_label, lambda d: max(d, 1)),
-    "semi": ("semi", semi_label, lambda d: d + 1),
+    "cat2": ("cat", cat2_label),
+    "i-geq3": ("i-geq3", igeq3_label),
+    "bax": ("bax", bax_label),
+    "semi": ("semi", semi_label),
 }
 
 
 def children_rightmost_entry(family: str, e: InversionSequence):
-    """Children of e by adding a new rightmost entry, with their labels: with
-    (h, k) the label of e, the new entries are max(e) - h + 1 .. max(e) + k,
-    and the one d above max(e) gets the label (h + d, k - d + 1)."""
+    """Children of e by adding a new rightmost entry: with (h, k) the label
+    of e, the h + k new entries max(e) - h + 1 .. max(e) + k, in order."""
     if family not in _RIGHTMOST:
         raise UnknownNameError("rightmost-entry family", family, _RIGHTMOST)
-    membership, label, first = _RIGHTMOST[family]
+    membership, label = _RIGHTMOST[family]
     require_member(e, _invseq_class(membership), f"an inversion sequence of family {membership}")
+    v = e.entries
     h, k = label(e)
-    mx = len(e.entries) - k
-    out = [(p, (first(mx - p), k + 1)) for p in range(mx - h + 1, mx + 1)]
-    out += [(mx + d, (h + d, k - d + 1)) for d in range(1, k + 1)]
-    return [(InversionSequence(e.entries + (p,)), lab) for p, lab in out]
+    return [(InversionSequence(v + (p,)), lab) for p, lab in enumerate(expand_label(family, (h, k)), max(v) - h + 1)]
 
 
 # -- powered Catalan inversion sequences -------------------------------------------
@@ -180,14 +181,13 @@ def pcat_children_invseq(e: InversionSequence):
 
     The positive entries are shifted up and a leftmost 0 is prepended; the
     children then differ in which of the old zero positions keep their 0,
-    the rest becoming the (unique possible) 1s.
+    the rest becoming the (unique possible) 1s.  With k old zeros, the
+    1 + (2 + ... + k) + 1 children list the production of (k) in order.
     """
     v = e.entries
     require_member(e, _invseq_class("pcat"), "an inversion sequence avoiding 110")
     zero_pos = [i for i, x in enumerate(v) if x == 0]
-    k = len(zero_pos)
-    shifted = tuple(x + 1 if x > 0 else 0 for x in v)
-    base = (0,) + shifted  # all old zeros kept, label k+1
+    base = (0,) + tuple(x + 1 if x > 0 else 0 for x in v)
 
     def child_with_ones(one_positions):
         vals = list(base)
@@ -195,13 +195,8 @@ def pcat_children_invseq(e: InversionSequence):
             vals[zp + 1] = 1
         return InversionSequence(tuple(vals))
 
-    out = [(child_with_ones(zero_pos), (1,))]
-    for j in range(2, k + 1):
-        tail = zero_pos[j:]
-        for m in range(j):
-            out.append((child_with_ones([zero_pos[m]] + tail), (j,)))
-    out.append((InversionSequence(base), (k + 1,)))
-    return out
+    ones = [zero_pos] + [[zero_pos[m]] + zero_pos[j:] for j in range(2, len(zero_pos) + 1) for m in range(j)] + [[]]
+    return list(zip(map(child_with_ones, ones), expand_label("pcat", pcat_label_invseq(e))))
 
 
 def pcat_parent_invseq(f: InversionSequence) -> InversionSequence:
@@ -234,12 +229,8 @@ def steady_children(path: LatticePath):
     require_member(path, STEADY_CLASS, "a steady path")
     n = path.size
     code = steady_code(path.steps)
-    h, k = steady_label(path)
-    out = []
-    for i in range(h + k):
-        label = (h + k - 1 - i, i + 2) if i < k - 1 else (0, i + 2)
-        out.append((make_path(steady_word(code + (n - i,)), kind=PathKind.STEADY), label))
-    return out
+    return [(make_path(steady_word(code + (n - i,)), kind=PathKind.STEADY), lab)
+            for i, lab in enumerate(expand_label("steady", steady_label(path)))]
 
 
 # -- permutations avoiding 1-23-4 -----------------------------------------------------
@@ -276,20 +267,9 @@ def perm_append(p: Permutation, a: int) -> Permutation:
 
 
 def perm1234_children(p: Permutation):
-    """Children by right expansion at each active site, with their labels."""
-    v = p.values
+    """Children by right expansion at each active site 1..h + k."""
     require_member(p, P1234_CLASS, "a permutation avoiding 1-23-4")
-    h, k = p1234_label(p)
-    out = []
-    for a in range(1, h + k + 1):
-        if v[-1] == 1:
-            label = (a, k + 2 - a)
-        elif a <= v[-1]:
-            label = (a, h + k + 1 - a)
-        else:
-            label = (a, 0)
-        out.append((perm_append(p, a), label))
-    return out
+    return [(perm_append(p, a), lab) for a, lab in enumerate(expand_label("p1234", p1234_label(p)), 1)]
 
 
 # -- valley-marked Dyck paths ----------------------------------------------------------
@@ -301,21 +281,17 @@ def vmdyck_label(path: LatticePath) -> Label:
 
 def vmdyck_children(path: LatticePath):
     """Children by a new rightmost peak in the last descent; a freshly made
-    valley takes every admissible mark."""
+    valley takes every admissible mark.  With a last descent of length r,
+    the 1 + (r + ... + 1) children list the production of (r) backwards."""
     require_member(path, VMDYCK_CLASS, "a valley-marked Dyck path")
     steps, marks = path.steps, path.marks
     r = last_descent_length(steps)
     head = steps[: len(steps) - r]
-    out = []
-    for j in range(r + 1):
+    kids = [LatticePath(head + "UD" + "D" * r, marks, PathKind.VMDYCK)]
+    for j in range(1, r + 1):
         child_steps = head + "D" * j + "UD" + "D" * (r - j)
-        label = (r + 1,) if j == 0 else (r - j + 1,)
-        if j == 0:
-            out.append((LatticePath(child_steps, marks, PathKind.VMDYCK), label))
-        else:
-            for m in range(r - j + 1):
-                out.append((LatticePath(child_steps, marks + (m,), PathKind.VMDYCK), label))
-    return out
+        kids += [LatticePath(child_steps, marks + (m,), PathKind.VMDYCK) for m in range(r - j + 1)]
+    return list(zip(kids, reversed(expand_label("pcat", vmdyck_label(path)))))
 
 
 # -- increasing ordered trees with increasing leaves -------------------------------------
@@ -329,18 +305,20 @@ def tree_children(t: OrderedTree):
     """Children by relabel-and-insert: bump every positive label, then hang a
     new vertex 1 under the root over a contiguous bunch of root edges; the
     empty bunch goes in the leftmost gap so leaf 1 stays first in pre-order,
-    and vertex 1 goes in before the first root child of its bunch."""
+    and vertex 1 goes in before the first root child of its bunch.  With k
+    root edges, the 1 + (k + ... + 1) children list the production of (k)
+    backwards."""
     require_valid(t, "an increasing-leaves tree")
     labels = (0,) + tuple(v + 1 for v in t.labels[1:])  # the root alone is 0
     arity = t.arity
     k = arity[0]
     bounds = root_child_bounds(arity)
     with_1 = [labels[:p] + (1,) + labels[p:] for p in bounds]  # shared by the children
-    out = []
+    kids = []
     for b, start in [(0, 0)] + [(b, start) for b in range(1, k + 1) for start in range(k - b + 1)]:
         p = bounds[start]
-        out.append((OrderedTree._from_flat(with_1[start], (k - b + 1,) + arity[1:p] + (b,) + arity[p:]), (k - b + 1,)))
-    return out
+        kids.append(OrderedTree._from_flat(with_1[start], (k - b + 1,) + arity[1:p] + (b,) + arity[p:]))
+    return list(zip(kids, reversed(expand_label("pcat", tree_label(t)))))
 
 
 # -- family registry and the consistency report ---------------------------------------------
@@ -370,7 +348,7 @@ FAMILIES = {
     "cat": FamilyGrowth("cat", "invseq", _invseq_class("cat"), cat_children, cat_label),
     **{
         name: FamilyGrowth(name, "invseq", _invseq_class(cls), partial(children_rightmost_entry, name), label)
-        for name, (cls, label, _) in _RIGHTMOST.items()
+        for name, (cls, label) in _RIGHTMOST.items()
     },
     "pcat:invseq": FamilyGrowth(
         "pcat", "invseq", _invseq_class("pcat"), pcat_children_invseq, pcat_label_invseq, pcat_parent_invseq
@@ -395,9 +373,10 @@ class GrowthReport:
 
 
 def growth_consistency(family: str, n_max: int) -> GrowthReport:
-    """Certify one growth up to n_max: every child is a member, child-label
-    multisets equal the rule productions, labels recomputed on children match
-    the emitted ones, and each member of size s+1 has exactly one parent.
+    """Certify one growth up to n_max: every child is a member, the emitted
+    label multiset equals the rule's production, the label emitted for each
+    child (the production's entry at its place) equals the one computed on
+    the child itself, and each member of size s+1 has exactly one parent.
     Each size is enumerated once: the members of size s+1 are the next
     parents.  Children and members are counted by value; text only words
     a violation.  Every count is positive, so plain dict equality is exact

@@ -688,12 +688,8 @@ def to_text(obj) -> str:
             return obj.steps + ";marks=" + ",".join(map(str, obj.marks))
         return obj.steps
     if isinstance(obj, OrderedTree):
-        # a label above 9 has two digits, and in the narrow form no two
-        # digits of different labels touch
-        text = _tree_text(obj, False)
-        if re.search(r"\d\d", text) and max(obj.labels) > 9:
-            return _tree_text(obj, True)
-        return text
+        # a label above 9 has two digits, and then every sibling takes a comma
+        return _tree_text(obj, max(obj.labels) > 9)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

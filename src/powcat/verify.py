@@ -20,7 +20,7 @@ from operator import methodcaller
 from . import bijections, growth, patterns, series
 from .errors import UnknownNameError, check_size
 from .gentree import label_distribution, level_counts, p1234_to_steady_relabel, rules_isomorphic_check
-from .objects import PathKind, _path_statistics, is_valid, last_descent_length, make_path, path_valleys, to_text
+from .objects import PathKind, _path_statistics, is_valid, last_descent_length, make_path, path_valleys, steady_word, to_text
 from .patterns import RelationTriple, VincularPattern, WordPattern, count_class, enumerate_class, invseq_members
 
 # each family's series.reference_sequence name and the sizes 1..n it is counted at
@@ -271,9 +271,19 @@ def check_catalan_correspondence():
 
 @check("steady-correspondence", "n <= 8")
 def check_steady_correspondence():
-    """The steady-code map is a bijection steady paths -> AV(1-34-2)."""
+    """The steady-code map is a bijection steady paths -> AV(1-34-2).  First,
+    at each size, is_valid must accept as steady paths exactly the listed
+    words among the words steady_word(d), d over every inversion sequence,
+    which are all the cone-confined code words, so that a rule (S1/S2)
+    accepting too much shows."""
     for n in range(1, 9):
         words = patterns.steady_words(n)
+        listed = set(words)
+        accepted = {w for w in map(steady_word, product(*map(range, range(1, n + 1))))
+                    if is_valid(make_path(w, kind=PathKind.STEADY))}
+        if accepted != listed:
+            yield (f"n={n}: is_valid accepts {len(accepted)} steady paths against {len(listed)} listed, "
+                   f"first differing at {min(accepted ^ listed)}")
         images = set()
         for w in words:
             path = make_path(w, kind=PathKind.STEADY)

@@ -285,6 +285,18 @@ def test_cat_active_sites_match_the_insertion_search(monkeypatch):
     assert len(calls) == 1 and [lab for _, lab in kids] == [(1,), (2,)]
 
 
+def test_cat_label_tests_no_membership(monkeypatch):
+    from powcat import patterns
+
+    calls = []
+    avoids = patterns.avoids_triple
+    monkeypatch.setattr(patterns, "avoids_triple", lambda e, t: calls.append(e) or avoids(e, t))
+    assert growth_consistency("cat", 5).ok
+    # one avoidance test per parent, in cat_children, and one per child, in
+    # its membership check: 1 + 2 + 5 + 14 + 42 parents, 2 + 5 + 14 + 42 + 132 children
+    assert len(calls) == 64 + 195
+
+
 # -- marked Dyck paths and trees ----------------------------------------------------------------
 
 
@@ -371,6 +383,32 @@ def test_growth_consistency_names_a_non_member_child(monkeypatch):
         "size 3: 0,1,3 generated 1 times",
     ):
         assert text in violations
+
+
+def test_children_are_labelled_by_the_rule_production():
+    # each grower pairs its children, in order, with the production of the
+    # parent's label; the path and tree growths go from the largest label down
+    for family, fam in FAMILIES.items():
+        for n in range(1, 7):
+            for obj in fam.enumerate(n):
+                production = expand_label(fam.rule, fam.label(obj))
+                if family in ("pcat:vmdyck", "pcat:tree"):
+                    production = production[::-1]
+                # so there are as many children as the production lists
+                assert tuple(lab for _, lab in fam.children(obj)) == production, (family, to_text(obj))
+
+
+def test_each_grower_reads_the_production_once(monkeypatch):
+    from powcat import growth
+
+    calls = []
+    real = growth.expand_label
+    monkeypatch.setattr(growth, "expand_label", lambda rule, label: calls.append(rule) or real(rule, label))
+    for family, fam in FAMILIES.items():
+        for obj in fam.enumerate(4):
+            calls.clear()
+            fam.children(obj)
+            assert calls == [fam.rule], (family, to_text(obj))
 
 
 def test_label_agreement_between_parent_and_child():

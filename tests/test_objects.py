@@ -8,6 +8,7 @@ words for all four kinds and over every small integer tuple, and on those
 inputs and on small trees every whole report is pinned by SHA-256.
 """
 import hashlib
+import re
 import sys
 from itertools import product
 
@@ -30,6 +31,7 @@ from powcat.objects import (
     require_valid,
     steady_code,
     steady_word,
+    _tree_text,
     to_text,
     validate,
 )
@@ -513,6 +515,22 @@ def test_tree_text_multi_digit_labels_use_separators():
     text = to_text(t)
     assert text == "0(1(10),2)"
     assert parse_object(text, "tree") == t
+
+
+def test_tree_text_width_follows_the_largest_label():
+    # the width rule stated the long way: the narrow text, then the wide one
+    # when that has two adjacent digits and some label is above 9
+    def two_step(t):
+        narrow = _tree_text(t, False)
+        return _tree_text(t, True) if re.search(r"\d\d", narrow) and max(t.labels) > 9 else narrow
+
+    for n in range(1, 7):
+        for t in enumerate_class("tree", None, n):
+            for shift in (5, -12):  # labels past 9, and negative ones with two digits
+                moved = OrderedTree._from_flat(tuple(x + shift for x in t.labels), t.arity)
+                assert to_text(moved) == two_step(moved), t
+                if min(moved.labels) >= 0:
+                    assert parse_object(to_text(moved), "tree") == moved
 
 
 def test_tree_text_parses_at_any_nesting_depth():

@@ -90,3 +90,14 @@ def test_star_maps_sees_a_mark_rule_that_accepts_too_much(monkeypatch, rule, n):
     result = verify.check_star_maps()
     assert (result.name, result.ok) == ("star-maps", False)
     assert result.counterexample.startswith(f"n={n}: is_valid accepts ")
+
+
+@pytest.mark.parametrize("rules, n, counts", [(("S1",), 4, (24, 23)), (("S2",), 5, (107, 105)), (("S1", "S2"), 4, (24, 23))])
+def test_steady_correspondence_sees_a_steady_rule_that_accepts_too_much(monkeypatch, rules, n, counts):
+    # with S1 or S2 dropped, is_valid accepts code words that steady_words
+    # leaves out, first at size n, where the check stops
+    violations = objects._path_violations
+    monkeypatch.setattr(objects, "_path_violations", lambda path: (v for v in violations(path) if v.invariant not in rules))
+    result = verify.check_steady_correspondence()
+    assert (result.name, result.ok) == ("steady-correspondence", False)
+    assert result.counterexample.startswith("n={}: is_valid accepts {} steady paths against {} listed".format(n, *counts))
