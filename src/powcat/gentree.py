@@ -17,7 +17,8 @@ its count to a difference array per run (two entries, or four when the
 multiplicity grows along the run), and one prefix sweep per line turns the
 arrays into the next level's counts.  A level then costs O(labels + cells)
 instead of O(labels x children), with Python's arbitrary-precision integers
-throughout.
+throughout.  The levels are yielded one by one: level_counts and
+rules_isomorphic_check hold one level of each tree at a time.
 
 The catalog ships the eight rules used across the package, addressed by the
 canonical names cat, cat2, i-geq3, bax, semi, pcat, p1234, steady.
@@ -249,20 +250,26 @@ def _next_level(rule: SuccessionRule, level: dict[Label, int], placed: dict) -> 
     return nxt
 
 
-def label_distribution(rule, depth: int) -> list[dict[Label, int]]:
-    """Label -> node count for levels 1..depth, by DP on distinct labels."""
+def _levels(rule, depth: int):
+    """Label -> node count for levels 1..depth, each made from the one before."""
     rule = get_rule(rule)
     check_size("depth", depth)
-    levels = [{rule.axiom: 1}]
+    level = {rule.axiom: 1}
     placed: dict = {}
+    yield level
     for _ in range(depth - 1):
-        levels.append(_next_level(rule, levels[-1], placed))
-    return levels
+        level = _next_level(rule, level, placed)
+        yield level
+
+
+def label_distribution(rule, depth: int) -> list[dict[Label, int]]:
+    """Label -> node count for levels 1..depth, by DP on distinct labels."""
+    return list(_levels(rule, depth))
 
 
 def level_counts(rule, depth: int) -> list[int]:
     """Number of generating-tree nodes at levels 1..depth."""
-    return [sum(level.values()) for level in label_distribution(rule, depth)]
+    return [sum(level.values()) for level in _levels(rule, depth)]
 
 
 def rules_isomorphic_check(rule_a, rule_b, relabel, depth: int):
@@ -270,11 +277,9 @@ def rules_isomorphic_check(rule_a, rule_b, relabel, depth: int):
 
     Returns (True, None) when the relabeled label multisets agree on every
     level up to depth, else (False, (level, label, count_a, count_b)) for
-    the first divergence (smallest level, then smallest label).
+    the first divergence (smallest level, then smallest label); no later level is built.
     """
-    dist_a = label_distribution(rule_a, depth)
-    dist_b = label_distribution(rule_b, depth)
-    for level, (da, db) in enumerate(zip(dist_a, dist_b), start=1):
+    for level, (da, db) in enumerate(zip(_levels(rule_a, depth), _levels(rule_b, depth)), start=1):
         merged: dict[Label, int] = {}
         for lab, cnt in da.items():
             new = tuple(relabel(lab))

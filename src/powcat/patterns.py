@@ -460,12 +460,17 @@ def _walk(step, depth, last, acc, prefix, state, join):
     """acc plus last(prefix', state') over the nodes at the given depth below
     the root (prefix, state), in depth-first order of step, where a child's
     prefix is join(prefix, piece); acc is a list for a listing and an int
-    for a count."""
+    for a count.  The children of a node one level up go straight to last,
+    in a loop of their own, not through a call each."""
+    if not depth:
+        acc += last(prefix, state)
+        return acc
 
     def visit(m, prefix, state):
         nonlocal acc
-        if m == depth:
-            acc += last(prefix, state)
+        if m == depth - 1:
+            for piece, child in step(m, state):
+                acc += last(join(prefix, piece), child)
             return
         for piece, child in step(m, state):
             visit(m + 1, join(prefix, piece), child)
@@ -995,15 +1000,15 @@ def require_member(obj, cls, what: str) -> None:
         raise MembershipError(f"{to_text(obj)} is not {what}")
 
 
-def equinumerosity_check(class_a, class_b, n_max: int, limit=None):
+def equinumerosity_check(class_a, class_b, n_max: int):
     """Per-size count table for two classes, each given as (kind, spec).
 
     Returns a list of (n, count_a, count_b, equal) rows for n = 1..n_max.
     """
     rows = []
     for n in range(1, n_max + 1):
-        ca = count_class(class_a[0], class_a[1], n, limit)
-        cb = count_class(class_b[0], class_b[1], n, limit)
+        ca = count_class(class_a[0], class_a[1], n)
+        cb = count_class(class_b[0], class_b[1], n)
         rows.append((n, ca, cb, ca == cb))
     return rows
 

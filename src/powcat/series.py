@@ -12,7 +12,6 @@ floating point enters this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add, itemgetter, sub
@@ -276,11 +275,6 @@ def _equation_rhs(rows):
     return [[0] * len(carry)] + out[:0:-1]
 
 
-@lru_cache(maxsize=None)
-def _rule_levels(order: int):
-    return label_distribution("i-geq3", order)
-
-
 def functional_equation_residual(order: int):
     """Residual of the two-catalytic-variable equation
     A = xyz + xz(A(1,z) - A(y,z))/(1-y) + xyz(A(y,z) - A(y,y))/(z-y),
@@ -291,7 +285,7 @@ def functional_equation_residual(order: int):
     level, for x^1..x^order; all empty when the equation holds.
     """
     check_size("residual", order)
-    levels = _rule_levels(order)
+    levels = label_distribution("i-geq3", order)
     height = 2 + max(max(map(itemgetter(1), level), default=0) for level in levels)
     width = 1 + max(max(map(sum, level), default=0) for level in levels)
     rhs = _rows({(1, 1): 1}, height, width)  # the xyz term

@@ -8,7 +8,6 @@ acceptance test module both run these same checks.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import os
 import time
@@ -301,9 +300,15 @@ def check_star_maps():
     """phi*/theta* are mutually inverse bijections with the statistics
     contract (W count -> total mark, diagonal steps kept, returns to axis ->
     returns to the mark).  First, at each size, is_valid must accept exactly
-    the listed marked paths among every steady or Dyck word with each valley
-    at height h marked 0..h+1, so that a rule accepting too much shows."""
+    the listed Dyck words among all words over {U, D}, and the listed marked
+    paths among every steady or Dyck word with each valley at height h marked
+    0..h+1, so that a rule accepting too much shows."""
     for n in range(1, 8):
+        listed = set(patterns.dyck_words(n))
+        accepted = {w for w in map("".join, product("UD", repeat=2 * n)) if is_valid(make_path(w))}
+        if accepted != listed:
+            yield (f"n={n}: is_valid accepts {len(accepted)} dyck paths against {len(listed)} listed, "
+                   f"first differing at {min(accepted ^ listed)}")
         for kind, words, listed in ((PathKind.VMSTEADY, patterns.steady_words(n), set(patterns.vmsteady_paths_raw(n))),
                                     (PathKind.VMDYCK, patterns.dyck_words(n), set(patterns.vmdyck_paths_raw(n)))):
             accepted = {(w, marks) for w in words for marks in product(*(range(h + 2) for _, h in path_valleys(w)))
@@ -496,6 +501,8 @@ def run_suite(suite: str, jobs: int = 1, progress=None):
 
     workers = min(jobs, len(fns), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             collect(pool.map(methodcaller("__call__"), fns))  # picklable, unlike a lambda
     else:

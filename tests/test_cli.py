@@ -19,6 +19,13 @@ def run(argv):
     return run_command(argv)
 
 
+def _fresh_python(*args):
+    """A new interpreter run with these arguments, powcat importable from its sources."""
+    src = str(Path(powcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_count_catalan_family():
     code, out = run(["count", "--family", "geq,dash,geq", "--n", "5"])
     assert code == 0 and out.strip() == "42"
@@ -417,10 +424,14 @@ def test_help_is_returned_as_the_stdout_text(monkeypatch, capsys):
         code, out = run(argv)
         assert code == 0 and out.startswith(usage), argv
         assert capsys.readouterr().out == "", argv
-    src = str(Path(powcat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "powcat", "count", "--help"], capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh_python("-m", "powcat", "count", "--help")
     assert (proc.returncode, proc.stdout) == run(["count", "--help"])
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # only `verify --jobs` above 1 starts a pool, so only it pays for the import
+    proc = _fresh_python("-c", "import sys, powcat.cli; print('concurrent.futures' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_one_parser_serves_every_request(monkeypatch):
@@ -463,9 +474,7 @@ def test_the_cached_parser_keeps_no_state_between_requests(monkeypatch):
 @pytest.mark.parametrize("n, code", [(5, 0), (SIZE_LIMITS["tree"][0] - 1, 2), (SIZE_LIMITS["tree"][1] + 1, 2)])
 def test_python_dash_m_powcat_runs_the_cli(n, code):
     argv = ["count", "--family", "tree", "--n", str(n)]
-    src = str(Path(powcat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "powcat", *argv], capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh_python("-m", "powcat", *argv)
     assert (proc.returncode, proc.stdout) == run(argv)
     assert proc.returncode == code
     if code:

@@ -1,6 +1,10 @@
 """The rule catalog: productions, level counts, distributions, isomorphism."""
+import tracemalloc
+from collections import Counter
+
 import pytest
 
+from powcat import gentree
 from powcat.errors import SIZE_LIMITS
 from powcat.gentree import (
     RULES,
@@ -199,6 +203,34 @@ def test_isomorphism_failure_reports_divergence():
     level, label, ca, cb = divergence
     assert level == 3 and label == (2,) and (ca, cb) == (2, 3)
     assert rules_isomorphic_check("cat", "cat", lambda l: l, 12) == (True, None)
+
+
+def test_level_counts_holds_one_level_at_a_time():
+    # every level of cat2 at depth 70 kept at once peaks at about 4.3 MB
+    tracemalloc.start()
+    try:
+        counts = level_counts("cat2", 70)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[:10] == LEVEL_PREFIXES["cat2"]
+    assert peak < 1.5 * 2**20
+
+
+def test_isomorphism_check_stops_at_the_first_differing_level(monkeypatch):
+    # a relabel right on the axiom only: level 2 differs, so no rule needs
+    # more than the one step from level 1 to level 2 (a spare one is allowed)
+    steps = Counter()
+    next_level = gentree._next_level
+
+    def counted(rule, level, placed):
+        steps[rule.name] += 1
+        return next_level(rule, level, placed)
+
+    monkeypatch.setattr(gentree, "_next_level", counted)
+    ok, divergence = rules_isomorphic_check("p1234", "steady", lambda lab: (0, 2) if lab == (1, 1) else (0, 0), 60)
+    assert not ok and divergence[0] == 2
+    assert steps and max(steps.values()) <= 2
 
 
 def test_igeq3_levels_solve_the_recurrence():

@@ -123,12 +123,12 @@ def test_functional_equation_residual():
 def test_functional_equation_residual_reports_a_planted_fault(monkeypatch):
     # one extra node of label (1, 2) on level 3 breaks the equation at x^3 and,
     # through both divided differences, at x^4
-    def planted(order):
-        levels = [dict(level) for level in label_distribution("i-geq3", order)]
+    def planted(rule, order):
+        levels = [dict(level) for level in label_distribution(rule, order)]
         levels[2][(1, 2)] = levels[2].get((1, 2), 0) + 1
         return levels
 
-    monkeypatch.setattr(series, "_rule_levels", planted)
+    monkeypatch.setattr(series, "label_distribution", planted)
     assert functional_equation_residual(6) == [
         {}, {}, {(1, 2): 1}, {(0, 3): -1, (2, 2): -1, (3, 1): -1}, {}, {},
     ]
@@ -141,7 +141,7 @@ def test_functional_equation_residual_reports_a_planted_fault(monkeypatch):
     assert not result.ok
     assert result.counterexample == "x^3: residual monomial y^1 z^2 -> 1"
     # an emptied level leaves the xyz term unmatched and level 2 unexplained
-    monkeypatch.setattr(series, "_rule_levels", lambda order: [{}] + label_distribution("i-geq3", order)[1:])
+    monkeypatch.setattr(series, "label_distribution", lambda rule, order: [{}] + label_distribution(rule, order)[1:])
     assert functional_equation_residual(3) == [{(1, 1): -1}, {(0, 2): 1, (2, 1): 1}, {}]
 
 

@@ -92,6 +92,17 @@ def test_star_maps_sees_a_mark_rule_that_accepts_too_much(monkeypatch, rule, n):
     assert result.counterexample.startswith(f"n={n}: is_valid accepts ")
 
 
+@pytest.mark.parametrize("rule", ["below-axis", "endpoint"])
+def test_star_maps_sees_a_dyck_rule_that_accepts_too_much(monkeypatch, rule):
+    # with the below-axis or the endpoint rule dropped, is_valid accepts DU
+    # or UU as a Dyck path at size 1, where the check stops
+    violations = objects._path_violations
+    monkeypatch.setattr(objects, "_path_violations", lambda path: (v for v in violations(path) if v.invariant != rule))
+    result = verify.check_star_maps()
+    assert (result.name, result.ok) == ("star-maps", False)
+    assert result.counterexample.startswith("n=1: is_valid accepts 2 dyck paths against 1 listed")
+
+
 @pytest.mark.parametrize("rules, n, counts", [(("S1",), 4, (24, 23)), (("S2",), 5, (107, 105)), (("S1", "S2"), 4, (24, 23))])
 def test_steady_correspondence_sees_a_steady_rule_that_accepts_too_much(monkeypatch, rules, n, counts):
     # with S1 or S2 dropped, is_valid accepts code words that steady_words
