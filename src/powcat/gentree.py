@@ -17,8 +17,9 @@ its count to a difference array per run (two entries, or four when the
 multiplicity grows along the run), and one prefix sweep per line turns the
 arrays into the next level's counts.  A level then costs O(labels + cells)
 instead of O(labels x children), with Python's arbitrary-precision integers
-throughout.  The levels are yielded one by one: level_counts and
-rules_isomorphic_check hold one level of each tree at a time.
+throughout.  The levels are yielded one by one: level_counts,
+rules_isomorphic_check and series.functional_equation_residual hold one
+level of each tree at a time.
 
 The catalog ships the eight rules used across the package, addressed by the
 canonical names cat, cat2, i-geq3, bax, semi, pcat, p1234, steady.

@@ -252,12 +252,7 @@ def path_valleys(steps: str) -> list[tuple[int, int]]:
 
 
 def last_descent_length(steps: str) -> int:
-    n = 0
-    for s in reversed(steps):
-        if s != "D":
-            break
-        n += 1
-    return n
+    return len(steps) - len(steps.rstrip("D"))
 
 
 def edge_line_offset(steps: str) -> int:

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from .errors import UnknownNameError, check_size
-from .gentree import label_distribution
+from .gentree import _levels
 
 @dataclass(frozen=True)
 class CountTriangle:
@@ -228,15 +228,19 @@ def kernel_a11(order: int) -> list[int]:
 # -- functional-equation residual ----------------------------------------------------
 # One x-level of A(y, z) is a list of rows indexed by the power of z: rows[k][h] is
 # the coefficient of y^h z^k.  All rows of all levels have one width, one more than
-# the largest label sum, and all levels one height, two more than the largest k, so
-# A(y, y), both quotients and their shifts by y and z fit; a shift that would still
-# push a nonzero coefficient off a row or level raises ArithmeticError.
+# the largest label sum, and all levels one height, two more than the largest k, both
+# bounded from the order alone (functional_equation_residual), so A(y, y), both
+# quotients and their shifts by y and z fit; a shift that would still push a nonzero
+# coefficient off a row or level raises ArithmeticError.
 
 
 def _rows(level, height, width):
-    """The level {(h, k): count} as height rows of width y-coefficients."""
+    """The level {(h, k): count} as height rows of width y-coefficients; a
+    label outside them raises ArithmeticError."""
     rows = [[0] * width for _ in range(height)]
     for (h, k), v in level.items():
+        if not (0 <= h < width and 0 <= k < height):
+            raise ArithmeticError(f"label {(h, k)} lies outside {height} rows of width {width}")
         rows[k][h] = v
     return rows
 
@@ -285,12 +289,14 @@ def functional_equation_residual(order: int):
     level, for x^1..x^order; all empty when the equation holds.
     """
     check_size("residual", order)
-    levels = label_distribution("i-geq3", order)
-    height = 2 + max(max(map(itemgetter(1), level), default=0) for level in levels)
-    width = 1 + max(max(map(sum, level), default=0) for level in levels)
+    # Every label (h, k) at level m of i-geq3 has h + k <= m + 1 and 2k + h <= m + 2:
+    # the axiom (1, 1) does, and each child (h - d, k + 1) or (h + d, k - d + 1),
+    # d >= 1, of (h, k) raises both sums by at most one.  So k <= m // 2 + 1, and
+    # order // 2 + 3 rows of width order + 2 hold every level, read one at a time.
+    height, width = order // 2 + 3, order + 2
     rhs = _rows({(1, 1): 1}, height, width)  # the xyz term
     residuals = []
-    for n, level in enumerate(levels):
+    for n, level in enumerate(_levels("i-geq3", order)):
         if n:
             rhs = _equation_rhs(lhs)
         lhs = _rows(level, height, width)

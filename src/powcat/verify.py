@@ -13,13 +13,13 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import methodcaller
 
 from . import bijections, growth, patterns, series
 from .errors import UnknownNameError, check_size
-from .gentree import label_distribution, level_counts, p1234_to_steady_relabel, rules_isomorphic_check
-from .objects import PathKind, _path_statistics, is_valid, last_descent_length, make_path, path_valleys, steady_word, to_text
+from .gentree import expand_label, label_distribution, level_counts, p1234_to_steady_relabel, rules_isomorphic_check
+from .objects import OrderedTree, PathKind, _path_statistics, is_valid, last_descent_length, make_path, path_valleys, steady_word, to_text
 from .patterns import RelationTriple, VincularPattern, WordPattern, count_class, enumerate_class, invseq_members
 
 # each family's series.reference_sequence name and the sizes 1..n it is counted at
@@ -91,6 +91,17 @@ def check(name: str, sizes: str):
     return declare
 
 
+def _picks_out(n, judge, noun, accepts, candidates, listed):
+    """At size n, the candidates that accepts keeps must be exactly the
+    listed members; otherwise one counterexample names judge, both counts
+    and the least member on one side only.  So a description that accepts
+    too much or too little shows."""
+    accepted, listed = set(filter(accepts, candidates)), set(listed)
+    if accepted != listed:
+        yield (f"n={n}: {judge} accepts {len(accepted)} {noun} against {len(listed)} listed, "
+               f"first differing at {min(accepted ^ listed)}")
+
+
 # -- characterizations -------------------------------------------------------------
 
 
@@ -121,17 +132,13 @@ def check_structural_criteria():
     """Direct structural descriptions pick out exactly the avoidance classes."""
     for fam, crit in CRITERIA.items():
         for n in range(1, 10):
-            members = set(invseq_members(fam, n))
-            by_crit = {e for e in product(*map(range, range(1, n + 1))) if crit(e)}
-            if members != by_crit:
-                yield f"{fam} criterion n={n}: differs at {next(iter(members ^ by_crit))}"
+            yield from _picks_out(n, f"the {fam} criterion", "inversion sequences", crit,
+                                  product(*map(range, range(1, n + 1))), invseq_members(fam, n))
     # ascent criterion for 1-23-4 on permutations, n <= 8
     pat = VincularPattern.parse("1-23-4")
     for n in range(1, 9):
-        members = set(patterns.perm_class_raw((pat,), n))
-        by_crit = {p for p in permutations(range(1, n + 1)) if patterns.ascent_min_max_criterion(p)}
-        if members != by_crit:
-            yield f"1-23-4 ascent criterion n={n} differs"
+        yield from _picks_out(n, "the 1-23-4 ascent criterion", "permutations", patterns.ascent_min_max_criterion,
+                              permutations(range(1, n + 1)), patterns.perm_class_raw((pat,), n))
 
 
 @check("equinumerosity", "n <= 7 (+pcat pair <= 8)")
@@ -196,9 +203,28 @@ def check_growth_consistency():
     )
 
 
+def _tree_candidates(n):
+    """Every increasing ordered tree of size n, each increasing-leaves tree
+    with two of its labels swapped, and each with its largest label n raised
+    by one, as (labels, arity)."""
+    yield from ((t.labels, t.arity) for t in patterns.increasing_ordered_trees(n))
+    for t in patterns.increasing_leaf_trees(n):
+        for i, j in combinations(range(n + 1), 2):
+            swapped = list(t.labels)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            yield tuple(swapped), t.arity
+        yield tuple(v + (v == n) for v in t.labels), t.arity
+
+
 @check("growth-consistency-extra", "n_max = 7")
 def check_growth_consistency_extra():
-    """Same certification for the remaining realizations."""
+    """Same certification for the remaining realizations.  First, at each
+    n <= 6, is_valid must accept exactly the listed increasing-leaves trees
+    among _tree_candidates(n), so that a tree rule accepting too much shows
+    (the root rule follows from the increasing and labels rules)."""
+    for n in range(1, 7):
+        yield from _picks_out(n, "is_valid", "increasing-leaves trees", lambda c: is_valid(OrderedTree._from_flat(*c)),
+                              _tree_candidates(n), ((t.labels, t.arity) for t in patterns.increasing_leaf_trees(n)))
     yield from _certify_growths((("p1234", 7), ("pcat:vmdyck", 7), ("pcat:tree", 7)))
 
 
@@ -231,14 +257,18 @@ def check_rule_isomorphism():
 
 @check("label-distribution", "depth <= 12")
 def check_label_distribution_consistency():
-    """Per-level label counts sum to the level counts; pcat labels follow the
-    triangle recurrence out to depth 12."""
+    """Each level of the label DP, to depth 10, is the level before it
+    expanded label by label through expand_label, weighted by count; pcat
+    labels follow the triangle recurrence out to depth 12."""
     for rule in ("cat", "cat2", "i-geq3", "bax", "semi", "pcat", "p1234", "steady"):
         dist = label_distribution(rule, 10)
-        levels = level_counts(rule, 10)
-        for i, lvl in enumerate(dist):
-            if sum(lvl.values()) != levels[i]:
-                yield f"{rule} level {i + 1}: distribution sum mismatch"
+        for i, (lvl, nxt) in enumerate(zip(dist, dist[1:]), start=2):
+            expanded = Counter()
+            for lab, cnt in lvl.items():
+                for child in expand_label(rule, lab):
+                    expanded[child] += cnt
+            if expanded != nxt:
+                yield f"{rule} level {i}: the DP's label counts differ from the expanded level {i - 1}"
     tri = series.callan_triangle(12)
     dist = label_distribution("pcat", 12)
     for n in range(1, 13):
@@ -277,12 +307,8 @@ def check_steady_correspondence():
     accepting too much shows."""
     for n in range(1, 9):
         words = patterns.steady_words(n)
-        listed = set(words)
-        accepted = {w for w in map(steady_word, product(*map(range, range(1, n + 1))))
-                    if is_valid(make_path(w, kind=PathKind.STEADY))}
-        if accepted != listed:
-            yield (f"n={n}: is_valid accepts {len(accepted)} steady paths against {len(listed)} listed, "
-                   f"first differing at {min(accepted ^ listed)}")
+        yield from _picks_out(n, "is_valid", "steady paths", lambda w: is_valid(make_path(w, kind=PathKind.STEADY)),
+                              map(steady_word, product(*map(range, range(1, n + 1)))), words)
         images = set()
         for w in words:
             path = make_path(w, kind=PathKind.STEADY)
@@ -304,19 +330,13 @@ def check_star_maps():
     paths among every steady or Dyck word with each valley at height h marked
     0..h+1, so that a rule accepting too much shows."""
     for n in range(1, 8):
-        listed = set(patterns.dyck_words(n))
-        accepted = {w for w in map("".join, product("UD", repeat=2 * n)) if is_valid(make_path(w))}
-        if accepted != listed:
-            yield (f"n={n}: is_valid accepts {len(accepted)} dyck paths against {len(listed)} listed, "
-                   f"first differing at {min(accepted ^ listed)}")
-        for kind, words, listed in ((PathKind.VMSTEADY, patterns.steady_words(n), set(patterns.vmsteady_paths_raw(n))),
-                                    (PathKind.VMDYCK, patterns.dyck_words(n), set(patterns.vmdyck_paths_raw(n)))):
-            accepted = {(w, marks) for w in words for marks in product(*(range(h + 2) for _, h in path_valleys(w)))
-                        if is_valid(make_path(w, marks, kind))}
-            if accepted != listed:
-                w, marks = min(accepted ^ listed)
-                yield (f"n={n}: is_valid accepts {len(accepted)} {kind.value} paths against {len(listed)} listed, "
-                       f"first differing at {to_text(make_path(w, marks, kind))}")
+        yield from _picks_out(n, "is_valid", "dyck paths", lambda w: is_valid(make_path(w)),
+                              map("".join, product("UD", repeat=2 * n)), patterns.dyck_words(n))
+        for kind, words, listed in ((PathKind.VMSTEADY, patterns.steady_words(n), patterns.vmsteady_paths_raw(n)),
+                                    (PathKind.VMDYCK, patterns.dyck_words(n), patterns.vmdyck_paths_raw(n))):
+            markings = ((w, marks) for w in words for marks in product(*(range(h + 2) for _, h in path_valleys(w))))
+            yield from _picks_out(n, "is_valid", f"{kind.value} paths",
+                                  lambda c: is_valid(make_path(*c, kind)), markings, listed)
         steadies = enumerate_class("path-kind", PathKind.STEADY, n)
         images = set()
         for p in steadies:

@@ -385,6 +385,16 @@ def test_growth_consistency_names_a_non_member_child(monkeypatch):
         assert text in violations
 
 
+def test_growth_consistency_names_a_wrong_parent(monkeypatch):
+    import dataclasses
+
+    monkeypatch.setitem(FAMILIES, "pcat:invseq", dataclasses.replace(FAMILIES["pcat:invseq"], parent=lambda child: child))
+    assert growth_consistency("pcat:invseq", 1).violations == (
+        "size 1: parent of 0,1 is not 0",
+        "size 1: parent of 0,0 is not 0",
+    )
+
+
 def test_children_are_labelled_by_the_rule_production():
     # each grower pairs its children, in order, with the production of the
     # parent's label; the path and tree growths go from the largest label down

@@ -37,6 +37,7 @@ from powcat.patterns import (
     dyck_words,
     enumerate_class,
     equinumerosity_check,
+    in_class,
     increasing_leaf_trees,
     increasing_ordered_trees,
     INVSEQ_FAMILIES,
@@ -319,6 +320,16 @@ def test_inversion_sequences_come_in_text_order_unsorted(family):
         for n in range(1, 9):
             objs = enumerate_class(kind, spec, n)
             assert objs == sorted(objs, key=to_text), (kind, n)
+
+
+@pytest.mark.parametrize("family", sorted(WORD_CHARACTERIZATIONS))
+def test_in_class_by_words_agrees_with_avoids_word(family):
+    words = tuple(map(WordPattern.parse, WORD_CHARACTERIZATIONS[family]))
+    for n in range(1, 7):
+        for e in map(InversionSequence, all_invseqs(n)):
+            assert in_class("invseq-words", words, e) == all(avoids_word(e, w) for w in words), to_text(e)
+    # a permutation avoids every word of length 3 here, but is of another kind
+    assert not in_class("invseq-words", words, Permutation((1,)))
 
 
 def test_inversion_sequences_past_10_are_sorted_by_text():

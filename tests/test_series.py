@@ -1,4 +1,6 @@
 """Exact series arithmetic, recurrences, and the kernel formula."""
+import tracemalloc
+
 import pytest
 
 from powcat import series, verify
@@ -128,7 +130,7 @@ def test_functional_equation_residual_reports_a_planted_fault(monkeypatch):
         levels[2][(1, 2)] = levels[2].get((1, 2), 0) + 1
         return levels
 
-    monkeypatch.setattr(series, "label_distribution", planted)
+    monkeypatch.setattr(series, "_levels", planted)
     assert functional_equation_residual(6) == [
         {}, {}, {(1, 2): 1}, {(0, 3): -1, (2, 2): -1, (3, 1): -1}, {}, {},
     ]
@@ -141,8 +143,27 @@ def test_functional_equation_residual_reports_a_planted_fault(monkeypatch):
     assert not result.ok
     assert result.counterexample == "x^3: residual monomial y^1 z^2 -> 1"
     # an emptied level leaves the xyz term unmatched and level 2 unexplained
-    monkeypatch.setattr(series, "label_distribution", lambda rule, order: [{}] + label_distribution(rule, order)[1:])
+    monkeypatch.setattr(series, "_levels", lambda rule, order: [{}] + label_distribution(rule, order)[1:])
     assert functional_equation_residual(3) == [{(1, 1): -1}, {(0, 2): 1, (2, 1): 1}, {}]
+
+
+def test_functional_equation_residual_holds_one_level_at_a_time():
+    # every level of i-geq3 to order 90 kept at once peaks at about 9.7 MiB
+    tracemalloc.start()
+    try:
+        zero = residual_is_zero(90)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zero
+    assert peak < 4 * 2**20
+
+
+def test_functional_equation_residual_rejects_a_label_outside_its_rows(monkeypatch):
+    # the rows are sized from the order: to order 2, four rows of width four
+    monkeypatch.setattr(series, "_levels", lambda rule, order: [{(1, 1): 1}, {(0, 4): 1}])
+    with pytest.raises(ArithmeticError, match=r"label \(0, 4\) lies outside 4 rows of width 4"):
+        functional_equation_residual(2)
 
 
 def test_triangle_refines_zero_statistic():

@@ -112,3 +112,34 @@ def test_steady_correspondence_sees_a_steady_rule_that_accepts_too_much(monkeypa
     result = verify.check_steady_correspondence()
     assert (result.name, result.ok) == ("steady-correspondence", False)
     assert result.counterexample.startswith("n={}: is_valid accepts {} steady paths against {} listed".format(n, *counts))
+
+
+@pytest.mark.parametrize("rule, n, counts", [("increasing-leaves", 2, (3, 2)), ("increasing", 2, (3, 2)), ("labels", 1, (2, 1))])
+def test_growth_consistency_extra_sees_a_tree_rule_that_accepts_too_much(monkeypatch, rule, n, counts):
+    # with one tree rule dropped, is_valid accepts an unlisted, swapped or
+    # raised tree at size n, where the check stops; the root rule follows
+    # from the increasing and labels rules, so no candidate can show it
+    violations = objects._tree_violations
+    monkeypatch.setattr(objects, "_tree_violations", lambda t: (v for v in violations(t) if v.invariant != rule))
+    result = verify.check_growth_consistency_extra()
+    assert (result.name, result.ok) == ("growth-consistency-extra", False)
+    assert result.counterexample.startswith("n={}: is_valid accepts {} increasing-leaves trees against {} listed".format(n, *counts))
+
+
+def test_label_distribution_sees_a_count_moved_within_a_level(monkeypatch):
+    # one node of cat2's level 5 moved to another label keeps the level's
+    # sum, so only the expansion of level 4 shows it
+    label_distribution = verify.label_distribution
+
+    def planted(rule, depth):
+        dist = label_distribution(rule, depth)
+        if rule == "cat2":
+            a, b = sorted(dist[4], key=dist[4].get, reverse=True)[:2]
+            dist[4][a] -= 1
+            dist[4][b] += 1
+        return dist
+
+    monkeypatch.setattr(verify, "label_distribution", planted)
+    result = verify.check_label_distribution_consistency()
+    assert (result.name, result.ok) == ("label-distribution", False)
+    assert result.counterexample == "cat2 level 5: the DP's label counts differ from the expanded level 4"
